@@ -22,6 +22,9 @@ std::atomic<int64_t> g_wait_nanos{0};
 // spans "pool-task-inline", keeping the "pool-task spans appear only on
 // pool-worker tracks" invariant the telemetry smoke checks.
 thread_local bool t_is_pool_worker = false;
+
+// Pool usage of the loops this thread started (see ThreadPoolStats).
+thread_local PoolStatsSnapshot t_pool_stats;
 }  // namespace
 
 PoolStatsSnapshot GlobalPoolStats() {
@@ -32,6 +35,8 @@ PoolStatsSnapshot GlobalPoolStats() {
       static_cast<double>(g_wait_nanos.load(std::memory_order_relaxed)) * 1e-9;
   return snap;
 }
+
+PoolStatsSnapshot ThreadPoolStats() { return t_pool_stats; }
 
 int ResolveNumThreads(int requested) {
   if (requested > 0) return requested;
@@ -66,7 +71,11 @@ bool ThreadPool::TryRunOne() {
     task = std::move(queue_.front());
     queue_.pop_front();
   }
+  // The task's loops belong to whoever queued it, not to the loop this
+  // thread is waiting in, so they stay off this thread's running totals.
+  const PoolStatsSnapshot outer = t_pool_stats;
   task();
+  t_pool_stats = outer;
   return true;
 }
 
@@ -151,6 +160,8 @@ void ParallelForEach(int64_t units, int num_threads,
 
   g_parallel_loops.fetch_add(1, std::memory_order_relaxed);
   g_tasks_submitted.fetch_add(helpers, std::memory_order_relaxed);
+  ++t_pool_stats.parallel_loops;
+  t_pool_stats.tasks_submitted += helpers;
 
   telemetry::TraceSpan loop_span("pool", "parallel-for");
   loop_span.set_rows(units);
@@ -188,10 +199,12 @@ void ParallelForEach(int64_t units, int num_threads,
       break;
     }
   }
-  g_wait_nanos.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             std::chrono::steady_clock::now() - wait_start)
-                             .count(),
-                         std::memory_order_relaxed);
+  const int64_t wait_nanos =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - wait_start)
+          .count();
+  g_wait_nanos.fetch_add(wait_nanos, std::memory_order_relaxed);
+  t_pool_stats.wait_seconds += static_cast<double>(wait_nanos) * 1e-9;
 }
 
 int64_t MorselCount(int64_t total, int num_threads) {

@@ -109,6 +109,13 @@ struct PoolStatsSnapshot {
 /// Current process-wide pool usage counters (cheap: three relaxed loads).
 PoolStatsSnapshot GlobalPoolStats();
 
+/// The calling thread's share of the counters: the loops it started, their
+/// helpers and its wait for them. Loops of pool tasks this thread drains
+/// inline while waiting (TryRunOne) are not included. A stage that runs on
+/// one thread reads an exact delta of these even while other stages of the
+/// same process run concurrently.
+PoolStatsSnapshot ThreadPoolStats();
+
 }  // namespace nestra
 
 #endif  // NESTRA_COMMON_THREAD_POOL_H_

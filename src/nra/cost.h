@@ -13,7 +13,7 @@ namespace nestra {
 
 /// \brief THE decision points for cost-driven planning, in the same shared
 /// form as rewrites.h's TakesTwoValuedAntijoin (the PR 7 consolidation
-/// rule): NraExecutor (staged and pipelined), PlanVerifier::Outline, and
+/// rule): NraExecutor's DAG builders, PlanVerifier::Outline, and
 /// ExplainQuery all call these inline predicates, so the executed plan, the
 /// verifier outline, and EXPLAIN can never disagree about a cost decision.
 /// tools/lint_engine_invariants.py (check 6) rejects direct calls to the

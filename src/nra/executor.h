@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "exec/join_hints.h"
 #include "nested/linking_selection.h"
 #include "nra/options.h"
 #include "plan/query_block.h"
@@ -65,56 +66,79 @@ class NraExecutor {
   const NraOptions& options() const { return options_; }
 
  private:
-  Result<Table> ExecuteFusedLinear(const std::vector<const QueryBlock*>& chain,
-                                   NraStats* stats, QueryProfile* profile);
-  Result<Table> ExecuteBottomUpLinear(
-      const std::vector<const QueryBlock*>& chain, NraStats* stats,
-      QueryProfile* profile);
-
-  /// Pipelined (options_.pipelined) counterparts: the same stage sequences
-  /// decomposed into a StageDag whose independent tasks — base-table
-  /// evaluations of different blocks, most importantly — run concurrently
-  /// on the shared pool. Task creation order equals the staged path's
-  /// stage-emission order, so the merged profile (and the result, and
-  /// NraStats' deterministic fields) are bit-identical to the staged
-  /// functions above.
+  /// The query's stage sequence decomposed into a StageDag (DESIGN.md §11)
+  /// whose independent tasks — base-table evaluations of different blocks,
+  /// most importantly — run concurrently on the shared pool. At one thread
+  /// the DAG runs its tasks inline in creation order: the serial schedule.
+  /// Each task is internally deterministic and the merged profile follows
+  /// creation order, so results, stage lists and NraStats' deterministic
+  /// fields are identical at every thread count.
+  ///
+  /// Linear correlated chain with options_.fused: one wide outer join, then
+  /// one sort and one streaming nest+select pass over every level.
   Result<Table> ExecuteFusedLinearDag(
       const std::vector<const QueryBlock*>& chain, NraStats* stats,
       QueryProfile* profile);
+  /// §4.2.3: a linear correlated chain evaluated leaf to root.
   Result<Table> ExecuteBottomUpLinearDag(
       const std::vector<const QueryBlock*>& chain, NraStats* stats,
       QueryProfile* profile);
+  /// Algorithm 1 over any block tree (the original / tree-query path).
   Result<Table> ExecutePipelinedRecursive(const QueryBlock& root,
                                           NraStats* stats,
                                           QueryProfile* profile);
 
   /// Recursive DAG builder behind ExecutePipelinedRecursive: appends the
-  /// tasks for `node`'s children (mirroring ComputeNode's traversal) to
-  /// `dag` and returns the id of the last transform task. `prev` is the
-  /// task producing the incoming `rel`; `bases` owns the per-block base
-  /// tables (deque: stable addresses across emplace_back).
+  /// tasks for `node`'s children to `dag` and returns the id of the last
+  /// transform task. `retained` lists the qualified attributes of blocks
+  /// root..node; `path` is the block chain root..node for strict/pseudo
+  /// decisions. `prev` is the task producing the incoming `rel`; `bases`
+  /// owns the per-block base tables (deque: stable addresses across
+  /// emplace_back).
   int BuildComputeTaskDag(StageDag* dag, const QueryBlock& node,
                           std::vector<const QueryBlock*>* path,
                           const std::vector<std::string>& retained, int prev,
                           Table* rel, std::deque<Table>* bases);
 
-  /// The "way up" of Algorithm 1 for one child link, shared by the
-  /// pipelined task bodies: nest `*rel` by `retained` and apply the linking
-  /// selection (one fused pass when options_.fused), padding `node`'s
-  /// attributes in pseudo mode. Same stages, timers, and labels as the
-  /// corresponding ComputeNode block.
+  /// Adds the "base[bN]" task evaluating `block`'s T_i = σ_i(R_i) into
+  /// `*out`; returns its id.
+  int AddBaseTask(StageDag* dag, const QueryBlock& block, Table* out);
+
+  /// Algorithm 1's way down for one child: magic-restrict `base` against
+  /// `*rel` (options_.magic_restriction), then left-outer join it into
+  /// `*rel` on the child's correlated predicates.
+  Status OuterJoinChild(const QueryBlock& child, const JoinBuildHints& hints,
+                        Table base, Table* rel, NraStats* stats,
+                        QueryProfile* profile);
+
+  /// One "link-select[bN]" stage: HashLinkSelect of `inner` against `outer`
+  /// on the given key columns (none: the virtual Cartesian product) into
+  /// `*out`.
+  Status LinkSelectStage(const QueryBlock& child, Table outer,
+                         const Table& inner,
+                         const std::vector<std::string>& okeys,
+                         const std::vector<std::string>& ikeys,
+                         SelectionMode mode,
+                         const std::vector<std::string>& pad_attrs,
+                         Table* out, NraStats* stats, QueryProfile* profile);
+
+  /// The materialized way up: nest `rel` by `retained` keeping the child's
+  /// (linked attribute, key), then apply the linking selection — a
+  /// "nest[bN]" and a "select[bN]" stage.
+  Result<Table> NestThenSelect(const QueryBlock& child,
+                               const std::vector<std::string>& retained,
+                               SelectionMode mode,
+                               const std::vector<std::string>& pad_attrs,
+                               const Table& rel, QueryProfile* profile);
+
+  /// The "way up" of Algorithm 1 for one child link: nest `*rel` by
+  /// `retained` and apply the linking selection (one fused pass when
+  /// options_.fused, else NestThenSelect), padding `node`'s attributes in
+  /// pseudo mode.
   Status ApplyNestSelect(const QueryBlock& node, const QueryBlock& child,
                          const std::vector<std::string>& retained,
                          SelectionMode mode, Table* rel,
                          QueryProfile* profile);
-
-  /// The recursive body of Algorithm 1 (original / tree-query path).
-  /// `retained` lists the qualified attributes of blocks root..node;
-  /// `path` is the block chain root..node for strict/pseudo decisions.
-  Result<Table> ComputeNode(const QueryBlock& node, Table rel,
-                            const std::vector<std::string>& retained,
-                            std::vector<const QueryBlock*>* path,
-                            NraStats* stats, QueryProfile* profile);
 
   /// Final projection (+ DISTINCT, + root-key NOT NULL guard).
   Result<Table> FinishRoot(const QueryBlock& root, Table rel,

@@ -46,10 +46,11 @@ struct NraOptions {
 
   /// Morsel-driven parallelism degree for the execution engine: hash-join
   /// build/probe, the sorts behind SortNode / sort-based nest / the fused
-  /// evaluator's single sort, base-table scan+filter, and the pushed-down
-  /// linking selection. 0 = auto (std::thread::hardware_concurrency);
-  /// 1 = the serial paths, which stay intact as the correctness oracle.
-  /// Results are byte-identical for every setting.
+  /// evaluator's single sort, base-table scan+filter, the pushed-down
+  /// linking selection, and the query's stage DAG (DESIGN.md §11).
+  /// 0 = auto (std::thread::hardware_concurrency); 1 = one morsel per loop
+  /// and the stage DAG run inline in creation order. Results are
+  /// byte-identical for every setting.
   int num_threads = 0;
 
   /// Vectorized batch execution: operators exchange columnar RowBatches
@@ -60,19 +61,6 @@ struct NraOptions {
   /// engine; results, EXPLAIN ANALYZE stage lists, and IoSim totals are
   /// identical for either setting.
   bool vectorized = true;
-
-  /// Push-based pipeline scheduling (DESIGN.md §11): the planner's stage
-  /// DAG — base-table evaluations, hash-join builds, nests, the final sort —
-  /// is decomposed into tasks with explicit dependencies and scheduled as
-  /// events on the shared ThreadPool, so independent pipelines of one query
-  /// (e.g. the base tables of different blocks) run concurrently. Results,
-  /// EXPLAIN ANALYZE stage lists, and NraStats are bit-identical to the
-  /// staged path (morsel-index-ordered concatenation holds inside every
-  /// task; the DAG only reorders *when* whole stages run, never what they
-  /// produce). Off = the original staged execution, retained for A/B.
-  /// At num_threads == 1 the DAG degrades to running its tasks inline in
-  /// creation order, which is exactly the staged schedule.
-  bool pipelined = true;
 
   /// Proven-2VL fast path: when the static property analyzer
   /// (src/verify/properties.h) proves a predicate or negative linking

@@ -153,8 +153,8 @@ Status StageDag::Run(int num_threads, NraStats* stats,
   }
 
   if (num_threads <= 1) {
-    // Inline in creation order, stopping at the first error: the staged
-    // schedule, byte for byte.
+    // Inline in creation order, stopping at the first error: the serial
+    // stage-at-a-time schedule.
     for (size_t id = 0; id < n; ++id) {
       RunTask(state, static_cast<int>(id));
       if (!state->status[id].ok()) return state->status[id];
@@ -201,13 +201,13 @@ Status StageDag::Run(int num_threads, NraStats* stats,
     }
   }
 
-  // First failure in creation order, exactly what the staged path (which
-  // stops there) would have surfaced.
+  // First failure in creation order, exactly what the serial schedule
+  // (which stops there) surfaces.
   for (size_t id = 0; id < n; ++id) {
     if (!state->status[id].ok()) return state->status[id];
   }
-  // Merge in creation order, which the builders arrange to equal the staged
-  // stage-emission order — so profiles compare equal stage-for-stage.
+  // Merge in creation order, the serial stage order — so profiles compare
+  // equal stage-for-stage at every thread count.
   for (size_t id = 0; id < n; ++id) {
     if (stats != nullptr) {
       const NraStats& s = state->stats[id];

@@ -14,7 +14,7 @@ namespace nestra {
 /// \brief Event-scheduled stage DAG: the push-based execution model of
 /// DESIGN.md §11.
 ///
-/// NraExecutor decomposes a query's staged plan into tasks — one per
+/// NraExecutor builds every query plan as tasks — one per
 /// pipeline ending in a breaker (a base-table evaluation, a hash-join
 /// build+probe, a nest, the final sort+finish) — wired with explicit
 /// dependencies, then calls Run(). Independent tasks execute concurrently
@@ -26,21 +26,20 @@ namespace nestra {
 /// and every task is internally deterministic (morsel-index-ordered
 /// concatenation, per the engine-wide rule). The DAG therefore changes
 /// *when* stages run, never what they produce: results, NraStats, and the
-/// profile's stage list are bit-identical to the staged path.
+/// profile's stage list are bit-identical at every thread count.
 ///
 /// To keep the profile deterministic under concurrency, every task records
 /// stages into a task-local QueryProfile; Run() merges them in task
-/// *creation* order, which the executor's builders arrange to equal the
-/// staged path's emission order. NraStats merge the same way: the timing
-/// phases accumulate (+=), intermediate_rows / output_rows max-merge
-/// (matching the staged paths, which track a running maximum or assign the
-/// final value of a row-monotone sequence).
+/// *creation* order, which the executor's builders arrange to be the serial
+/// stage order. NraStats merge the same way: the timing phases accumulate
+/// (+=), intermediate_rows / output_rows max-merge (each task tracks a
+/// running maximum of a row-monotone sequence).
 class StageDag {
  public:
   /// A task body runs one pipeline. `stats` is never null (task-local,
   /// merged later); `profile` is the task-local profile, or null when the
-  /// query is not being profiled — the same contract the staged helpers
-  /// already follow.
+  /// query is not being profiled — the same contract as every stage helper
+  /// (StageTimer, CollectProfiled).
   using TaskBody = std::function<Status(NraStats* stats, QueryProfile*)>;
 
   /// Adds a task and returns its id (ids are dense, in creation order).
@@ -53,7 +52,7 @@ class StageDag {
   /// Executes the DAG and blocks until every task finished or was skipped.
   ///
   /// With num_threads <= 1 tasks run inline in creation order, stopping at
-  /// the first error — byte-for-byte the staged schedule. Otherwise the
+  /// the first error — the serial stage-at-a-time schedule. Otherwise the
   /// calling thread participates: it seeds the ready set, runs ready tasks
   /// itself, and while starved helps drain unrelated pool work
   /// (ThreadPool::TryRunOne) so nested parallel loops inside task bodies

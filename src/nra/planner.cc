@@ -1,5 +1,6 @@
 #include "nra/planner.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/memory_tracker.h"
@@ -35,129 +36,6 @@ std::string BlockLabel(const QueryBlock& block) {
   }
   label += ']';
   return label;
-}
-
-// Fused morsel-parallel scan+filter over one base table: each morsel
-// charges its rows to the (thread-safe) IoSim and filters into its own
-// slot; slots concatenate in morsel order, so output — and the simulator's
-// totals — equal the serial ScanNode/FilterNode pass exactly.
-Result<Table> ParallelScanFilter(const Table* table, const Schema& schema,
-                                 const Expr* pred, int num_threads,
-                                 ProfiledOperator* op_out) {
-  BoundPredicate bound;
-  if (pred != nullptr) {
-    NESTRA_ASSIGN_OR_RETURN(bound, BoundPredicate::Make(pred, schema));
-  }
-  const int64_t n = table->num_rows();
-  const int64_t morsels = MorselCount(n, num_threads);
-  std::vector<std::vector<Row>> slots(static_cast<size_t>(morsels));
-  struct IoCounts {
-    int64_t hits = 0;
-    int64_t seq_misses = 0;
-    int64_t random_misses = 0;
-  };
-  std::vector<IoCounts> io(static_cast<size_t>(morsels));
-  ParallelForMorsels(n, num_threads, [&](int64_t m, int64_t begin,
-                                         int64_t end) {
-    std::vector<Row>& slot = slots[static_cast<size_t>(m)];
-    IoCounts& counts = io[static_cast<size_t>(m)];
-    IoSim* sim = IoSim::Get();
-    for (int64_t i = begin; i < end; ++i) {
-      if (sim != nullptr) {
-        switch (sim->SeqRow(table, i)) {
-          case IoAccess::kHit:
-            ++counts.hits;
-            break;
-          case IoAccess::kSeqMiss:
-            ++counts.seq_misses;
-            break;
-          case IoAccess::kRandomMiss:
-            ++counts.random_misses;
-            break;
-          case IoAccess::kNone:
-            break;
-        }
-      }
-      const Row& r = table->rows()[static_cast<size_t>(i)];
-      if (pred == nullptr || bound.Matches(r)) slot.push_back(r);
-    }
-  });
-  Table out{schema};
-  for (std::vector<Row>& slot : slots) {
-    for (Row& r : slot) out.AppendUnchecked(std::move(r));
-  }
-  if (op_out != nullptr) {
-    op_out->name = pred == nullptr ? "ParallelScan" : "ParallelScanFilter";
-    op_out->phase = QueryPhase::kUnnestJoin;
-    op_out->rows_in = n;
-    op_out->stats.rows_out = out.num_rows();
-    for (const IoCounts& counts : io) {
-      op_out->stats.io_hits += counts.hits;
-      op_out->stats.io_seq_misses += counts.seq_misses;
-      op_out->stats.io_random_misses += counts.random_misses;
-    }
-  }
-  return out;
-}
-
-// Fused vectorized scan+filter over one base table (serial). Late
-// materialization: only the predicate's columns are transposed into the
-// batch; Select then picks the survivors and only those rows are copied
-// out of the table. Rows the filter rejects are never deep-copied, which
-// is where this beats both the row pipeline (copies every row out of the
-// scan) and the generic batch pipeline (transposes every column).
-// IoSim charging stays per row in table order, so the simulator's totals
-// and LRU state match the serial row engine exactly.
-Result<Table> VectorizedScanFilter(const Table* table, const Schema& schema,
-                                   const VectorizedPredicate& pred,
-                                   ProfiledOperator* op_out) {
-  const int64_t n = table->num_rows();
-  const std::vector<Row>& rows = table->rows();
-  const std::vector<int> cols = pred.used_columns();
-  Table out{schema};
-  // Worst case every row survives; one up-front allocation of the row
-  // headers beats log(n) grow-and-move cycles of the output vector.
-  out.Reserve(static_cast<size_t>(n));
-  RowBatch batch;
-  batch.Reset(schema);
-  std::vector<int32_t> sel;
-  int64_t hits = 0;
-  int64_t seq_misses = 0;
-  int64_t random_misses = 0;
-  int64_t batches = 0;
-  IoSim* sim = IoSim::Get();
-  for (int64_t begin = 0; begin < n; begin += RowBatch::kDefaultCapacity) {
-    int64_t end = begin + RowBatch::kDefaultCapacity;
-    if (end > n) end = n;
-    if (sim != nullptr) {
-      const IoSim::RangeCounts counts = sim->SeqRange(table, begin, end);
-      hits += counts.hits;
-      seq_misses += counts.seq_misses;
-      random_misses += counts.random_misses;
-    }
-    batch.Clear();
-    for (int64_t i = begin; i < end; ++i) {
-      const Row& r = rows[static_cast<size_t>(i)];
-      for (const int c : cols) batch.column(c).Append(r[c]);
-    }
-    batch.set_num_rows(end - begin);
-    ++batches;
-    pred.Select(batch, &sel);
-    for (const int32_t s : sel) {
-      out.AppendUnchecked(rows[static_cast<size_t>(begin + s)]);
-    }
-  }
-  if (op_out != nullptr) {
-    op_out->name = "VectorizedScanFilter";
-    op_out->phase = QueryPhase::kUnnestJoin;
-    op_out->rows_in = n;
-    op_out->stats.rows_out = out.num_rows();
-    op_out->stats.batches_out = batches;
-    op_out->stats.io_hits = hits;
-    op_out->stats.io_seq_misses = seq_misses;
-    op_out->stats.io_random_misses = random_misses;
-  }
-  return out;
 }
 
 // One local-predicate conjunct usable for zone-map pruning: a column
@@ -238,84 +116,175 @@ bool GranuleRejected(const ZoneEntry& z, const ZoneTerm& t) {
   return false;
 }
 
-// Scan+filter over the kept granules only (morsel = granule, kept order =
-// table order). ONE implementation for every engine combination — serial or
-// parallel, row or vectorized — so rows and IoSim charges are identical
-// across all of them by construction; SeqRange charges exactly what the
-// unpruned pass would charge for these rows.
-Result<Table> PrunedScanFilter(const Table* table, const Schema& schema,
-                               const Expr* pred,
-                               const std::vector<int64_t>& kept,
-                               int64_t total_granules, int num_threads,
-                               ProfiledOperator* op_out) {
-  BoundPredicate bound;
-  if (pred != nullptr) {
-    NESTRA_ASSIGN_OR_RETURN(bound, BoundPredicate::Make(pred, schema));
+// Zone-map pruning pays off on big tables; below this many granules the
+// whole scan fits a few pages anyway and plan stability matters more (the
+// gate keeps every tier-1 test workload on unpruned scans, same reasoning
+// as kCostMinJoinRows).
+constexpr int64_t kMinPruneGranules = 8;
+
+// A half-open row range [begin, end) of a base table.
+struct RowRange {
+  int64_t begin = 0;
+  int64_t end = 0;
+};
+
+// The row ranges a single-table scan reads, in table order.
+// `total_granules` is 0 unless zone pruning fired, in which case the ranges
+// are the kept granules (adjacent ones coalesced).
+struct ScanRanges {
+  std::vector<RowRange> ranges;
+  int64_t kept_granules = 0;
+  int64_t total_granules = 0;
+};
+
+// Zone-map pruning: when per-granule min/max from load-time stats prove
+// some granules can't satisfy `conjuncts`, only the kept ones are scanned.
+// Otherwise the range is the whole table.
+ScanRanges PlanScanRanges(const Catalog& catalog, const std::string& name,
+                          const Table& table, const Schema& schema,
+                          const std::vector<ExprPtr>& conjuncts,
+                          bool cost_based) {
+  ScanRanges scan;
+  const int64_t n = table.num_rows();
+  scan.ranges.push_back({0, n});
+  if (!cost_based || conjuncts.empty()) return scan;
+  const Result<const TableStats*> stats = catalog.GetStats(name);
+  if (!stats.ok() || (*stats)->zones.num_granules < kMinPruneGranules) {
+    return scan;
   }
-  const int64_t n = table->num_rows();
-  const int64_t g = static_cast<int64_t>(kept.size());
-  std::vector<std::vector<Row>> slots(static_cast<size_t>(g));
-  struct IoCounts {
-    int64_t hits = 0;
-    int64_t seq_misses = 0;
-    int64_t random_misses = 0;
-  };
-  std::vector<IoCounts> io(static_cast<size_t>(g));
-  int64_t scanned_rows = 0;
-  ParallelForEach(g, num_threads, [&](int64_t k) {
-    const int64_t gi = kept[static_cast<size_t>(k)];
-    const int64_t begin = gi * kZoneGranuleRows;
-    int64_t end = begin + kZoneGranuleRows;
-    if (end > n) end = n;
-    IoSim* sim = IoSim::Get();
-    if (sim != nullptr) {
-      const IoSim::RangeCounts counts = sim->SeqRange(table, begin, end);
-      IoCounts& c = io[static_cast<size_t>(k)];
-      c.hits = counts.hits;
-      c.seq_misses = counts.seq_misses;
-      c.random_misses = counts.random_misses;
+  std::vector<ZoneTerm> terms;
+  CollectZoneTerms(conjuncts, schema, &terms);
+  if (terms.empty()) return scan;
+  const TableZoneMap& zones = (*stats)->zones;
+  std::vector<RowRange> kept;
+  int64_t kept_granules = 0;
+  for (int64_t gi = 0; gi < zones.num_granules; ++gi) {
+    bool keep = true;
+    for (const ZoneTerm& t : terms) {
+      if (GranuleRejected(zones.At(gi, t.col), t)) {
+        keep = false;
+        break;
+      }
     }
-    std::vector<Row>& slot = slots[static_cast<size_t>(k)];
-    for (int64_t i = begin; i < end; ++i) {
-      const Row& r = table->rows()[static_cast<size_t>(i)];
-      if (pred == nullptr || bound.Matches(r)) slot.push_back(r);
+    if (!keep) continue;
+    ++kept_granules;
+    const int64_t begin = gi * kZoneGranuleRows;
+    const int64_t end = std::min(n, begin + kZoneGranuleRows);
+    if (!kept.empty() && kept.back().end == begin) {
+      kept.back().end = end;
+    } else {
+      kept.push_back({begin, end});
+    }
+  }
+  if (kept_granules == zones.num_granules) return scan;
+  scan.ranges = std::move(kept);
+  scan.kept_granules = kept_granules;
+  scan.total_granules = zones.num_granules;
+  return scan;
+}
+
+// The single-table scan+filter, one implementation for every engine
+// combination. The ranges split into MorselCount morsels (the whole scan is
+// one morsel at one thread); each morsel walks its rows in RowBatch-sized
+// batches, charges IoSim with one SeqRange per batch — exactly what a
+// per-row SeqRow loop charges — and keeps the rows passing `vpred` (compiled
+// kernels over a batch holding only the predicate's columns) or, when that
+// is null, `bound` evaluated per row. Only survivors are copied out of the
+// table, into a per-morsel slot; slots concatenate in morsel order, so the
+// output equals a serial ScanNode -> FilterNode pass at any thread count.
+Result<Table> MorselScan(const Table& table, const Schema& schema,
+                         const BoundPredicate& bound,
+                         const VectorizedPredicate* vpred,
+                         const std::vector<RowRange>& ranges, int num_threads,
+                         ProfiledOperator* op_out) {
+  // offsets[r] = position of range r's first row in the concatenated scan.
+  std::vector<int64_t> offsets(ranges.size() + 1, 0);
+  for (size_t r = 0; r < ranges.size(); ++r) {
+    offsets[r + 1] = offsets[r] + (ranges[r].end - ranges[r].begin);
+  }
+  const int64_t total = offsets.back();
+  struct MorselOut {
+    std::vector<Row> rows;
+    IoSim::RangeCounts io;
+    int64_t batches = 0;
+  };
+  std::vector<MorselOut> slots(
+      static_cast<size_t>(MorselCount(total, num_threads)));
+  const std::vector<Row>& rows = table.rows();
+  const std::vector<int> cols =
+      vpred != nullptr ? vpred->used_columns() : std::vector<int>();
+  ParallelForMorsels(total, num_threads, [&](int64_t m, int64_t lo,
+                                             int64_t hi) {
+    MorselOut& slot = slots[static_cast<size_t>(m)];
+    slot.rows.reserve(static_cast<size_t>(hi - lo));
+    IoSim* sim = IoSim::Get();
+    RowBatch batch;
+    if (vpred != nullptr) batch.Reset(schema);
+    std::vector<int32_t> sel;
+    size_t r = static_cast<size_t>(
+        std::upper_bound(offsets.begin(), offsets.end(), lo) -
+        offsets.begin() - 1);
+    for (; r < ranges.size() && offsets[r] < hi; ++r) {
+      const int64_t first =
+          ranges[r].begin + std::max<int64_t>(0, lo - offsets[r]);
+      const int64_t last =
+          ranges[r].begin + std::min(offsets[r + 1], hi) - offsets[r];
+      for (int64_t begin = first; begin < last;
+           begin += RowBatch::kDefaultCapacity) {
+        const int64_t end =
+            std::min<int64_t>(last, begin + RowBatch::kDefaultCapacity);
+        ++slot.batches;
+        if (sim != nullptr) {
+          const IoSim::RangeCounts c = sim->SeqRange(&table, begin, end);
+          slot.io.hits += c.hits;
+          slot.io.seq_misses += c.seq_misses;
+          slot.io.random_misses += c.random_misses;
+        }
+        if (vpred == nullptr) {
+          for (int64_t i = begin; i < end; ++i) {
+            const Row& row = rows[static_cast<size_t>(i)];
+            if (bound.Matches(row)) slot.rows.push_back(row);
+          }
+          continue;
+        }
+        batch.Clear();
+        for (int64_t i = begin; i < end; ++i) {
+          const Row& row = rows[static_cast<size_t>(i)];
+          for (const int c : cols) batch.column(c).Append(row[c]);
+        }
+        batch.set_num_rows(end - begin);
+        vpred->Select(batch, &sel);
+        for (const int32_t s : sel) {
+          slot.rows.push_back(rows[static_cast<size_t>(begin + s)]);
+        }
+      }
     }
   });
   Table out{schema};
-  for (std::vector<Row>& slot : slots) {
-    for (Row& r : slot) out.AppendUnchecked(std::move(r));
-  }
-  for (const int64_t gi : kept) {
-    const int64_t begin = gi * kZoneGranuleRows;
-    scanned_rows += std::min(n, begin + kZoneGranuleRows) - begin;
-  }
-  if (telemetry::MetricsEnabled()) {
-    const telemetry::EngineMetrics& m = telemetry::Metrics();
-    m.zone_granules_scanned_total->Add(static_cast<double>(g));
-    m.zone_granules_pruned_total->Add(
-        static_cast<double>(total_granules - g));
+  if (slots.size() == 1) {
+    out = Table(schema, std::move(slots[0].rows));
+  } else {
+    size_t survivors = 0;
+    for (const MorselOut& slot : slots) survivors += slot.rows.size();
+    out.Reserve(survivors);
+    for (MorselOut& slot : slots) {
+      for (Row& row : slot.rows) out.AppendUnchecked(std::move(row));
+    }
   }
   if (op_out != nullptr) {
-    op_out->name = "ZoneMapScanFilter";
-    op_out->detail = "granules=" + std::to_string(g) + "/" +
-                     std::to_string(total_granules);
+    op_out->name = "MorselScan";
     op_out->phase = QueryPhase::kUnnestJoin;
-    op_out->rows_in = scanned_rows;
+    op_out->rows_in = total;
     op_out->stats.rows_out = out.num_rows();
-    for (const IoCounts& counts : io) {
-      op_out->stats.io_hits += counts.hits;
-      op_out->stats.io_seq_misses += counts.seq_misses;
-      op_out->stats.io_random_misses += counts.random_misses;
+    for (const MorselOut& slot : slots) {
+      op_out->stats.batches_out += slot.batches;
+      op_out->stats.io_hits += slot.io.hits;
+      op_out->stats.io_seq_misses += slot.io.seq_misses;
+      op_out->stats.io_random_misses += slot.io.random_misses;
     }
   }
   return out;
 }
-
-// Zone-map pruning pays off on big tables; below this many granules the
-// whole scan fits a few pages anyway and plan stability matters more (the
-// gate keeps every tier-1 test workload on the byte-identical unpruned
-// paths, same reasoning as kCostMinJoinRows).
-constexpr int64_t kMinPruneGranules = 8;
 
 }  // namespace
 
@@ -354,115 +323,63 @@ Result<Table> EvalBlockBase(const QueryBlock& block, const Catalog& catalog,
     conjuncts = SplitConjunction(block.local_pred->Clone());
   }
 
-  if (block.tables.size() == 1 && cost_based && !conjuncts.empty()) {
-    // Zone-map pruning: when per-granule min/max from load-time stats prove
-    // some granules can't contribute, scan only the kept ones. The pruned
-    // path runs for EVERY engine combination, so rows and IoSim charges
-    // stay identical across threads and row/vectorized; when nothing is
-    // provably prunable the pre-stats paths below run byte for byte.
-    const QueryBlock::TableRef& ref = block.tables[0];
-    NESTRA_ASSIGN_OR_RETURN(const Table* table, catalog.GetTable(ref.table));
-    const Result<const TableStats*> stats = catalog.GetStats(ref.table);
-    if (stats.ok() && (*stats)->zones.num_granules >= kMinPruneGranules) {
-      const Schema schema = ref.alias.empty()
-                                ? table->schema()
-                                : table->schema().Qualify(ref.alias);
-      std::vector<ZoneTerm> terms;
-      CollectZoneTerms(conjuncts, schema, &terms);
-      const TableZoneMap& zones = (*stats)->zones;
-      std::vector<int64_t> kept;
-      if (!terms.empty()) {
-        for (int64_t gi = 0; gi < zones.num_granules; ++gi) {
-          bool keep = true;
-          for (const ZoneTerm& t : terms) {
-            if (GranuleRejected(zones.At(gi, t.col), t)) {
-              keep = false;
-              break;
-            }
-          }
-          if (keep) kept.push_back(gi);
-        }
-      }
-      if (!terms.empty() &&
-          static_cast<int64_t>(kept.size()) < zones.num_granules) {
-        const ExprPtr pred = MakeAnd(std::move(conjuncts));
-        StageTimer timer(profile, QueryPhase::kUnnestJoin, BlockLabel(block));
-        ProfiledOperator op;
-        NESTRA_ASSIGN_OR_RETURN(
-            Table out,
-            PrunedScanFilter(table, schema, pred.get(), kept,
-                             zones.num_granules, num_threads,
-                             timer.active() ? &op : nullptr));
-        NESTRA_RETURN_NOT_OK(FoldStageMem(&timer, TableBytes(out)));
-        timer.Finish(out.num_rows(), std::move(op));
-        return out;
-      }
-    }
-  }
-
-  if (block.tables.size() == 1 && num_threads > 1) {
-    // Single-table block: one fused morsel-parallel scan+filter. The IoSim
-    // is charged from whichever worker owns the morsel (it is thread-safe),
-    // and morsel-ordered slots keep the rows identical to the serial scan.
+  if (block.tables.size() == 1) {
+    // Single-table block: one morsel scan for every engine combination, so
+    // rows and IoSim charges are identical across threads and row/vectorized
+    // by construction.
     const QueryBlock::TableRef& ref = block.tables[0];
     NESTRA_ASSIGN_OR_RETURN(const Table* table, catalog.GetTable(ref.table));
     const Schema schema = ref.alias.empty()
                               ? table->schema()
                               : table->schema().Qualify(ref.alias);
-    const ExprPtr pred =
-        conjuncts.empty() ? nullptr : MakeAnd(std::move(conjuncts));
-    StageTimer timer(profile, QueryPhase::kUnnestJoin, BlockLabel(block));
-    ProfiledOperator op;
-    NESTRA_ASSIGN_OR_RETURN(
-        Table out,
-        ParallelScanFilter(table, schema, pred.get(), num_threads,
-                           timer.active() ? &op : nullptr));
-    NESTRA_RETURN_NOT_OK(FoldStageMem(&timer, TableBytes(out)));
-    timer.Finish(out.num_rows(), std::move(op));
-    return out;
-  }
-
-  if (block.tables.size() == 1 && vectorized) {
-    // Single-table block, serial vectorized engine: fuse scan and filter
-    // with late materialization when the predicate compiles to kernels.
-    // Non-vectorizable predicates fall through to the node pipeline below
-    // (whose FilterNode takes the row-at-a-time fallback).
-    const QueryBlock::TableRef& ref = block.tables[0];
-    NESTRA_ASSIGN_OR_RETURN(const Table* table, catalog.GetTable(ref.table));
-    const Schema schema = ref.alias.empty()
-                              ? table->schema()
-                              : table->schema().Qualify(ref.alias);
+    const ScanRanges scan = PlanScanRanges(catalog, ref.table, *table, schema,
+                                           conjuncts, cost_based);
     const ExprPtr pred =
         conjuncts.empty() ? nullptr : MakeAnd(std::move(conjuncts));
     VectorizedPredicate vpred;
     bool compiled = false;
-    if (two_valued) {
-      // Proven-2VL fast path: columns the catalog proves non-NULL (declared
-      // NOT NULL or scanned NULL-free at registration) compile to kernels
-      // with no per-value NULL loads. Tables are immutable once registered,
-      // so the proof cannot be invalidated under us.
-      std::vector<bool> non_null(static_cast<size_t>(schema.num_fields()),
-                                 false);
-      for (int i = 0; i < schema.num_fields(); ++i) {
-        non_null[static_cast<size_t>(i)] =
-            catalog.ProvenNotNull(ref.table, table->schema().fields()[i].name);
+    if (vectorized && pred != nullptr) {
+      if (two_valued) {
+        // Proven-2VL fast path: columns the catalog proves non-NULL
+        // (declared NOT NULL or scanned NULL-free at registration) compile
+        // to kernels with no per-value NULL loads. Tables are immutable
+        // once registered, so the proof cannot be invalidated under us.
+        std::vector<bool> non_null(static_cast<size_t>(schema.num_fields()),
+                                   false);
+        for (int i = 0; i < schema.num_fields(); ++i) {
+          non_null[static_cast<size_t>(i)] = catalog.ProvenNotNull(
+              ref.table, table->schema().fields()[i].name);
+        }
+        compiled =
+            VectorizedPredicate::Compile(pred.get(), schema, non_null, &vpred);
+      } else {
+        compiled = VectorizedPredicate::Compile(pred.get(), schema, &vpred);
       }
-      compiled =
-          VectorizedPredicate::Compile(pred.get(), schema, non_null, &vpred);
-    } else {
-      compiled = VectorizedPredicate::Compile(pred.get(), schema, &vpred);
     }
-    if (compiled) {
-      StageTimer timer(profile, QueryPhase::kUnnestJoin, BlockLabel(block));
-      ProfiledOperator op;
-      NESTRA_ASSIGN_OR_RETURN(
-          Table out, VectorizedScanFilter(table, schema, vpred,
-                                          timer.active() ? &op : nullptr));
-      NESTRA_RETURN_NOT_OK(FoldStageMem(&timer, TableBytes(out)));
-      timer.Finish(out.num_rows(), std::move(op));
-      return out;
+    BoundPredicate bound;
+    if (!compiled) {
+      NESTRA_ASSIGN_OR_RETURN(bound, BoundPredicate::Make(pred.get(), schema));
     }
-    if (pred != nullptr) conjuncts = SplitConjunction(pred->Clone());
+    StageTimer timer(profile, QueryPhase::kUnnestJoin, BlockLabel(block));
+    ProfiledOperator op;
+    NESTRA_ASSIGN_OR_RETURN(
+        Table out, MorselScan(*table, schema, bound,
+                              compiled ? &vpred : nullptr, scan.ranges,
+                              num_threads, timer.active() ? &op : nullptr));
+    if (scan.total_granules > 0) {
+      if (telemetry::MetricsEnabled()) {
+        const telemetry::EngineMetrics& m = telemetry::Metrics();
+        m.zone_granules_scanned_total->Add(
+            static_cast<double>(scan.kept_granules));
+        m.zone_granules_pruned_total->Add(
+            static_cast<double>(scan.total_granules - scan.kept_granules));
+      }
+      op.detail = "granules=" + std::to_string(scan.kept_granules) + "/" +
+                  std::to_string(scan.total_granules);
+    }
+    NESTRA_RETURN_NOT_OK(FoldStageMem(&timer, TableBytes(out)));
+    timer.Finish(out.num_rows(), std::move(op));
+    return out;
   }
 
   ExecNodePtr node;
@@ -504,49 +421,45 @@ Result<Table> EvalBlockBase(const QueryBlock& block, const Catalog& catalog,
           vectorized, hints);
     }
   }
-  if (!conjuncts.empty() && num_threads > 1) {
-    // Multi-table block with leftover conjuncts: the join tree drains
-    // serially (Next is a serial protocol; its hash joins parallelize
-    // internally), then the materialized rows filter in parallel morsels.
-    StageTimer timer(profile, QueryPhase::kUnnestJoin, BlockLabel(block));
-    if (timer.active()) {
-      node->SetPhaseRecursive(QueryPhase::kUnnestJoin);
-      node->EnableTimingRecursive();
-    }
-    int64_t scanned_bytes = 0;
-    NESTRA_ASSIGN_OR_RETURN(
-        Table scanned, CollectTable(node.get(), vectorized, &scanned_bytes));
-    FlushOperatorMetrics(*node);
-    ProfiledOperator tree;
-    if (timer.active()) tree = ProfiledOperator::Snapshot(*node);
-    const ExprPtr pred = MakeAnd(std::move(conjuncts));
-    // Stage peak: operator charges plus the drained intermediate, which is
-    // still live while the parallel filter builds its output.
-    const int64_t tree_peak = TreePeakMemBytes(*node) + scanned_bytes;
-    NESTRA_ASSIGN_OR_RETURN(
-        Table out,
-        ParallelFilterTable(std::move(scanned), pred.get(), num_threads));
-    const int64_t out_bytes = TableBytes(out);
-    NESTRA_RETURN_NOT_OK(FoldStageMem(&timer, out_bytes, tree_peak + out_bytes));
-    if (timer.active()) {
-      ProfiledOperator wrapper;
-      wrapper.name = "ParallelFilter";
-      wrapper.phase = QueryPhase::kUnnestJoin;
-      wrapper.rows_in = tree.stats.rows_out;
-      wrapper.stats.rows_out = out.num_rows();
-      wrapper.children.push_back(std::move(tree));
-      timer.Finish(out.num_rows(), std::move(wrapper));
-    } else {
-      timer.Finish(out.num_rows());
-    }
-    return out;
+  if (conjuncts.empty()) {
+    return CollectProfiled(node.get(), QueryPhase::kUnnestJoin,
+                           BlockLabel(block), profile, vectorized);
   }
-  if (!conjuncts.empty()) {
-    node = std::make_unique<FilterNode>(std::move(node),
-                                        MakeAnd(std::move(conjuncts)));
+  // Leftover conjuncts: the join tree drains serially (Next is a serial
+  // protocol; its hash joins parallelize internally), then the materialized
+  // rows filter in morsels.
+  StageTimer timer(profile, QueryPhase::kUnnestJoin, BlockLabel(block));
+  if (timer.active()) {
+    node->SetPhaseRecursive(QueryPhase::kUnnestJoin);
+    node->EnableTimingRecursive();
   }
-  return CollectProfiled(node.get(), QueryPhase::kUnnestJoin,
-                         BlockLabel(block), profile, vectorized);
+  int64_t scanned_bytes = 0;
+  NESTRA_ASSIGN_OR_RETURN(
+      Table scanned, CollectTable(node.get(), vectorized, &scanned_bytes));
+  FlushOperatorMetrics(*node);
+  ProfiledOperator tree;
+  if (timer.active()) tree = ProfiledOperator::Snapshot(*node);
+  const ExprPtr pred = MakeAnd(std::move(conjuncts));
+  // Stage peak: operator charges plus the drained intermediate, which is
+  // still live while the filter builds its output.
+  const int64_t tree_peak = TreePeakMemBytes(*node) + scanned_bytes;
+  NESTRA_ASSIGN_OR_RETURN(
+      Table out,
+      ParallelFilterTable(std::move(scanned), pred.get(), num_threads));
+  const int64_t out_bytes = TableBytes(out);
+  NESTRA_RETURN_NOT_OK(FoldStageMem(&timer, out_bytes, tree_peak + out_bytes));
+  if (timer.active()) {
+    ProfiledOperator wrapper;
+    wrapper.name = "ParallelFilter";
+    wrapper.phase = QueryPhase::kUnnestJoin;
+    wrapper.rows_in = tree.stats.rows_out;
+    wrapper.stats.rows_out = out.num_rows();
+    wrapper.children.push_back(std::move(tree));
+    timer.Finish(out.num_rows(), std::move(wrapper));
+  } else {
+    timer.Finish(out.num_rows());
+  }
+  return out;
 }
 
 ExprPtr CloneCorrelatedPreds(const QueryBlock& child) {
@@ -650,20 +563,16 @@ Result<Table> FinalizeRootOutput(const QueryBlock& root, Table rel,
                                  const std::string& key_filter_attr,
                                  int num_threads, QueryProfile* profile,
                                  bool vectorized) {
-  // One "finish" stage regardless of thread count: the parallel key-filter
-  // pre-pass (when taken) is folded into the stage's wall time, and the
-  // stage's rows_out is the final output either way.
+  // One "finish" stage: the morsel key-filter pre-pass (when there is a key
+  // to guard) is folded into the stage's wall time, and the stage's rows_out
+  // is the final output.
   StageTimer timer(profile, QueryPhase::kPostProcessing, "finish");
-  if (!key_filter_attr.empty() && num_threads > 1) {
+  if (!key_filter_attr.empty()) {
     const ExprPtr pred = IsNotNull(Col(key_filter_attr));
     NESTRA_ASSIGN_OR_RETURN(
         rel, ParallelFilterTable(std::move(rel), pred.get(), num_threads));
   }
   ExecNodePtr node = std::make_unique<TableSourceNode>(std::move(rel));
-  if (!key_filter_attr.empty() && num_threads <= 1) {
-    node = std::make_unique<FilterNode>(std::move(node),
-                                        IsNotNull(Col(key_filter_attr)));
-  }
   if (root.IsGrouped()) {
     std::vector<AggSpec> aggs;
     aggs.reserve(root.aggregates.size());

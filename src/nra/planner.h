@@ -24,23 +24,23 @@ class QueryProfile;
 
 /// Builds T_i = σ_i(R_i): scans the block's tables under their aliases,
 /// joins them on the local equality predicates (hash join; remaining local
-/// conjuncts become filters) and returns the materialized result with fully
-/// qualified column names. `num_threads > 1` runs the hash joins in
-/// parallel, and single-table blocks as one fused morsel-parallel
-/// scan+filter (IoSim is thread-safe, and per-morsel slots concatenated in
-/// morsel order keep results identical to the serial pass). `vectorized`
-/// drains the serial operator trees in columnar RowBatches (identical rows,
-/// identical IoSim charges). `two_valued` lets the serial vectorized
-/// scan+filter compile predicates against Catalog::ProvenNotNull facts: terms
-/// whose operands are proven non-NULL pick kernels with no per-value NULL
-/// checks (bit-identical output whenever the proofs hold, which registration
-/// guarantees for immutable tables). `cost_based` enables the stats-driven
-/// physical choices (DESIGN.md §13): zone-map granule pruning on
-/// single-table scans whose local predicate provably rejects whole granules
-/// (the pruned path then runs for every engine combination, so rows AND
-/// IoSim charges stay identical across threads/row/vectorized), and perfect
-/// (dense-array) keying hints for intra-block hash joins. When pruning
-/// skips nothing the pre-stats paths run byte for byte.
+/// conjuncts become a morsel filter, ParallelFilterTable) and returns the
+/// materialized result with fully qualified column names.
+///
+/// A single-table block runs as one morsel scan, the same code for every
+/// engine combination: the rows to scan are the kept zone-map granules when
+/// `cost_based` pruning proves whole granules empty (tables of at least
+/// kMinPruneGranules granules only; DESIGN.md §13), else the whole table;
+/// they split into MorselCount(rows, num_threads) morsels, one at a single
+/// thread. Each RowBatch-sized batch charges IoSim with one SeqRange and
+/// evaluates the local predicate as a compiled VectorizedPredicate when
+/// `vectorized` is set and it compiles (against Catalog::ProvenNotNull
+/// facts when `two_valued`: proven terms pick kernels with no per-value
+/// NULL checks), else as a BoundPredicate per row. Survivors concatenate in
+/// table order, so the rows equal a serial ScanNode -> FilterNode pass at
+/// every setting, and at one thread so do the IoSim charges (more threads
+/// can only shift the hit/miss split; DESIGN.md §6). `cost_based` also
+/// picks perfect (dense-array) keying hints for intra-block hash joins.
 Result<Table> EvalBlockBase(const QueryBlock& block, const Catalog& catalog,
                             int num_threads = 1,
                             QueryProfile* profile = nullptr,
@@ -49,8 +49,10 @@ Result<Table> EvalBlockBase(const QueryBlock& block, const Catalog& catalog,
                             bool cost_based = false);
 
 /// Filters `in` down to the rows matching `pred` using row-range morsels
-/// (serial when `num_threads <= 1`); row order is preserved, so the result
-/// equals a serial FilterNode pass.
+/// (one morsel when `num_threads <= 1`); row order is preserved, so the
+/// result equals a serial FilterNode pass. The planner filters every
+/// materialized relation through it: a block's conjuncts left over after
+/// its joins, and the root-key guard in FinalizeRootOutput.
 Result<Table> ParallelFilterTable(Table in, const Expr* pred,
                                   int num_threads);
 

@@ -338,7 +338,7 @@ StageTimer::StageTimer(QueryProfile* profile, QueryPhase phase,
       metrics_(telemetry::MetricsEnabled()),
       trace_(telemetry::TraceEnabled()) {
   if (!recording()) return;
-  if (profile_ != nullptr) pool_before_ = GlobalPoolStats();
+  if (profile_ != nullptr) pool_before_ = ThreadPoolStats();
   start_ = Clock::now();
 }
 
@@ -370,7 +370,7 @@ void StageTimer::FinishImpl(int64_t rows_out, ProfiledOperator* tree) {
   stage.rows_out = rows_out;
   stage.mem_bytes = mem_bytes_;
   stage.peak_mem_bytes = peak_mem_bytes_;
-  stage.pool = GlobalPoolStats() - pool_before_;
+  stage.pool = ThreadPoolStats() - pool_before_;
   if (tree != nullptr) {
     stage.has_tree = true;
     stage.tree = std::move(*tree);

@@ -50,7 +50,7 @@ struct ProfiledStage {
   int64_t peak_mem_bytes = 0;
   bool has_tree = false;
   ProfiledOperator tree;
-  PoolStatsSnapshot pool;  // shared-pool usage delta across this stage
+  PoolStatsSnapshot pool;  // pool usage of the loops this stage started
 };
 
 /// \brief Per-query profile assembled by NraExecutor when
@@ -123,8 +123,10 @@ Result<Table> CollectProfiled(ExecNode* node, QueryPhase phase,
 void FlushOperatorMetrics(const ExecNode& node);
 
 /// \brief Scoped helper timing one executor stage. Captures start time and
-/// pool counters on construction; one of the Finish overloads reports the
-/// stage to every enabled consumer:
+/// the calling thread's pool counters (ThreadPoolStats — a stage runs on
+/// one thread, so concurrent stages never count each other's loops) on
+/// construction; one of the Finish overloads reports the stage to every
+/// enabled consumer:
 ///
 ///  * the QueryProfile (stage list, when constructed with a non-null one),
 ///  * the global metrics registry (per-phase rows/stages/seconds counters

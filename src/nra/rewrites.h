@@ -14,10 +14,10 @@ namespace nestra {
 
 /// \brief THE decision point for the proven-2VL antijoin rewrite: true when
 /// the executor runs `child`'s negative link as a plain antijoin instead of
-/// nest + pseudo-selection. Every consumer — NraExecutor (staged and
-/// pipelined), PlanVerifier::Outline, ExplainQuery — must call this one
-/// predicate so the executed plan, the verifier outline, and EXPLAIN can
-/// never disagree (tools/lint_engine_invariants.py rejects new direct
+/// nest + pseudo-selection. Every consumer — NraExecutor's DAG builders,
+/// PlanVerifier::Outline, ExplainQuery — must call this one predicate so
+/// the executed plan, the verifier outline, and EXPLAIN can never disagree
+/// (tools/lint_engine_invariants.py rejects new direct
 /// NegativeLinkRunsTwoValued call sites outside this header; the verifier's
 /// CheckOutline keeps one as an independent re-validation). `path` lists the
 /// enclosing blocks, root first, ending at `child`'s parent.

@@ -350,11 +350,12 @@ void MergeStage(std::map<std::string, StageEstimate>* out,
   e.bound = std::max(e.bound, bound);
 }
 
-// Walks the block tree the way ComputeNode does, emitting candidate stage
-// estimates for every label each child might get. `outer` estimates the
-// accumulated relation entering `node`'s child loop; its max_rows is sound
-// for the relation at every point of that loop (each child's nest/select/
-// link-select restores the row bound to the pre-join value).
+// Walks the block tree the way the executor's BuildComputeTaskDag does,
+// emitting candidate stage estimates for every label each child might get.
+// `outer` estimates the accumulated relation entering `node`'s child loop;
+// its max_rows is sound for the relation at every point of that loop (each
+// child's nest/select/link-select restores the row bound to the pre-join
+// value).
 void WalkStages(const QueryBlock& node, const RelEstimate& outer,
                 const Catalog& catalog,
                 std::map<std::string, StageEstimate>* out) {

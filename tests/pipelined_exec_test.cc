@@ -1,12 +1,13 @@
-// Equivalence of pipelined (stage-DAG) and staged execution: for every
-// query, option set, engine (row / vectorized), and parallelism degree,
-// running with `NraOptions::pipelined` must produce results ROW-EXACTLY
-// equal to the staged run — same row order, same value representations —
-// and an identical EXPLAIN ANALYZE stage list. The DAG only changes *when*
-// whole stages run (independent pipelines overlap on the shared pool),
-// never what they produce (DESIGN.md §11): every task is internally
-// deterministic and task-local profiles merge in creation order, which the
-// builders arrange to equal the staged emission order.
+// Determinism and correctness of the stage-DAG executor (DESIGN.md §11):
+// for every query, option set, and engine (row / vectorized), running at
+// threads {2, 8} must produce results ROW-EXACTLY equal to the 1-thread run
+// — same row order, same value representations — with an identical EXPLAIN
+// ANALYZE stage list and identical deterministic NraStats. At one thread
+// the DAG runs its tasks inline in creation order (the serial schedule);
+// with more, independent pipelines overlap on the shared pool, which
+// changes only *when* whole stages run, never what they produce. Every
+// result is also checked as a bag against the independent nested-iteration
+// oracle, so agreement across thread counts cannot hide a wrong answer.
 //
 // Also covered here: the StageDag scheduler itself (error-first semantics,
 // failure-skip cascades, stats merging) and the PipelineRole operator
@@ -20,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "baseline/nested_iteration.h"
 #include "common/date.h"
 #include "exec/aggregate.h"
 #include "exec/distinct.h"
@@ -43,25 +45,25 @@ using testing_util::QueryGenerator;
 
 constexpr int kThreadDegrees[] = {1, 2, 8};
 
-void ExpectRowExact(const Table& staged, const Table& pipelined,
+void ExpectRowExact(const Table& serial, const Table& parallel,
                     const std::string& context) {
-  ASSERT_EQ(staged.num_rows(), pipelined.num_rows()) << context;
-  for (int64_t i = 0; i < staged.num_rows(); ++i) {
-    ASSERT_TRUE(staged.rows()[static_cast<size_t>(i)] ==
-                pipelined.rows()[static_cast<size_t>(i)])
-        << context << "\nfirst divergence at row " << i << "\nstaged:\n"
-        << staged.ToString() << "pipelined:\n"
-        << pipelined.ToString();
+  ASSERT_EQ(serial.num_rows(), parallel.num_rows()) << context;
+  for (int64_t i = 0; i < serial.num_rows(); ++i) {
+    ASSERT_TRUE(serial.rows()[static_cast<size_t>(i)] ==
+                parallel.rows()[static_cast<size_t>(i)])
+        << context << "\nfirst divergence at row " << i << "\n1 thread:\n"
+        << serial.ToString() << "parallel:\n"
+        << parallel.ToString();
   }
 }
 
-void ExpectSameStages(const QueryProfile& staged,
-                      const QueryProfile& pipelined,
+void ExpectSameStages(const QueryProfile& serial,
+                      const QueryProfile& parallel,
                       const std::string& context) {
-  ASSERT_EQ(staged.stages().size(), pipelined.stages().size()) << context;
-  for (size_t i = 0; i < staged.stages().size(); ++i) {
-    const ProfiledStage& s = staged.stages()[i];
-    const ProfiledStage& p = pipelined.stages()[i];
+  ASSERT_EQ(serial.stages().size(), parallel.stages().size()) << context;
+  for (size_t i = 0; i < serial.stages().size(); ++i) {
+    const ProfiledStage& s = serial.stages()[i];
+    const ProfiledStage& p = parallel.stages()[i];
     EXPECT_EQ(s.label, p.label) << context << " (stage " << i << ")";
     EXPECT_EQ(s.phase, p.phase) << context << " (stage " << i << ")";
     EXPECT_EQ(s.rows_out, p.rows_out) << context << " (stage " << i << ")";
@@ -87,45 +89,49 @@ std::vector<std::pair<std::string, NraOptions>> OptionVariants() {
   return configs;
 }
 
-void CheckPipelinedMatchesStaged(const Catalog& catalog,
+void CheckThreadsAgreeWithOracle(const Catalog& catalog,
                                  const std::string& sql) {
+  NestedIterationExecutor oracle(catalog, {.use_indexes = false});
+  Result<Table> expected = oracle.ExecuteSql(sql);
+  ASSERT_TRUE(expected.ok()) << sql << ": " << expected.status().ToString();
   for (const auto& [name, base] : OptionVariants()) {
     for (const bool vectorized : {false, true}) {
+      const std::string config =
+          name + (vectorized ? "/vec" : "/row") + "/threads=";
+      NraOptions opts = base;
+      opts.vectorized = vectorized;
+      opts.profile = true;
+      opts.num_threads = 1;
+      NraExecutor serial_exec(catalog, opts);
+      QueryProfile serial_profile;
+      NraStats serial_stats;
+      Result<Table> serial =
+          serial_exec.ExecuteSql(sql, &serial_stats, &serial_profile);
+      ASSERT_TRUE(serial.ok())
+          << config << "1\n" << sql << ": " << serial.status().ToString();
+      EXPECT_TRUE(Table::BagEquals(*expected, *serial))
+          << config << "1\n" << sql << "\noracle:\n" << expected->ToString()
+          << "nra:\n" << serial->ToString();
+
       for (const int threads : kThreadDegrees) {
+        if (threads == 1) continue;
         const std::string context =
-            name + (vectorized ? "/vec" : "/row") +
-            "/threads=" + std::to_string(threads) + "\n" + sql;
+            config + std::to_string(threads) + "\n" + sql;
+        opts.num_threads = threads;
+        NraExecutor exec(catalog, opts);
+        QueryProfile profile;
+        NraStats stats;
+        Result<Table> parallel = exec.ExecuteSql(sql, &stats, &profile);
+        ASSERT_TRUE(parallel.ok())
+            << context << ": " << parallel.status().ToString();
 
-        NraOptions staged_opts = base;
-        staged_opts.num_threads = threads;
-        staged_opts.vectorized = vectorized;
-        staged_opts.pipelined = false;
-        staged_opts.profile = true;
-        NraExecutor staged_exec(catalog, staged_opts);
-        QueryProfile staged_profile;
-        NraStats staged_stats;
-        Result<Table> staged =
-            staged_exec.ExecuteSql(sql, &staged_stats, &staged_profile);
-        ASSERT_TRUE(staged.ok())
-            << context << ": " << staged.status().ToString();
-
-        NraOptions pipe_opts = staged_opts;
-        pipe_opts.pipelined = true;
-        NraExecutor pipe_exec(catalog, pipe_opts);
-        QueryProfile pipe_profile;
-        NraStats pipe_stats;
-        Result<Table> pipelined =
-            pipe_exec.ExecuteSql(sql, &pipe_stats, &pipe_profile);
-        ASSERT_TRUE(pipelined.ok())
-            << context << ": " << pipelined.status().ToString();
-
-        ExpectRowExact(*staged, *pipelined, context);
-        ExpectSameStages(staged_profile, pipe_profile, context);
+        ExpectRowExact(*serial, *parallel, context);
+        ExpectSameStages(serial_profile, profile, context);
         // The deterministic NraStats fields must agree too (timings are
         // wall-clock and may not).
-        EXPECT_EQ(staged_stats.intermediate_rows, pipe_stats.intermediate_rows)
+        EXPECT_EQ(serial_stats.intermediate_rows, stats.intermediate_rows)
             << context;
-        EXPECT_EQ(staged_stats.output_rows, pipe_stats.output_rows) << context;
+        EXPECT_EQ(serial_stats.output_rows, stats.output_rows) << context;
       }
     }
   }
@@ -153,23 +159,23 @@ class PipelinedTpchTest : public ::testing::Test {
 };
 
 TEST_F(PipelinedTpchTest, Query1) {
-  CheckPipelinedMatchesStaged(catalog_, Query1Sql());
+  CheckThreadsAgreeWithOracle(catalog_, Query1Sql());
 }
 
 TEST_F(PipelinedTpchTest, Query2aMixed) {
-  CheckPipelinedMatchesStaged(
+  CheckThreadsAgreeWithOracle(
       catalog_,
       MakeQuery2(10, 40, 5000, 25, OuterLink::kAny, InnerLink::kNotExists));
 }
 
 TEST_F(PipelinedTpchTest, Query3aMixed) {
-  CheckPipelinedMatchesStaged(
+  CheckThreadsAgreeWithOracle(
       catalog_, MakeQuery3(10, 40, 5000, 25, OuterLink::kAll,
                            InnerLink::kExists, Query3Variant::kVariantA));
 }
 
 TEST_F(PipelinedTpchTest, Query3bNegative) {
-  CheckPipelinedMatchesStaged(
+  CheckThreadsAgreeWithOracle(
       catalog_, MakeQuery3(10, 40, 5000, 25, OuterLink::kAll,
                            InnerLink::kNotExists, Query3Variant::kVariantB));
 }
@@ -178,7 +184,7 @@ TEST_F(PipelinedTpchTest, Query3bNegative) {
 
 class PipelinedFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(PipelinedFuzzTest, PipelinedIsBitIdenticalToStaged) {
+TEST_P(PipelinedFuzzTest, ThreadsAreBitIdenticalAndMatchOracle) {
   QueryGenerator gen(GetParam());
   Catalog catalog;
   gen.PopulateTables(&catalog);
@@ -186,7 +192,7 @@ TEST_P(PipelinedFuzzTest, PipelinedIsBitIdenticalToStaged) {
   for (int i = 0; i < 8; ++i) {
     const std::string sql = gen.RandomQuery();
     SCOPED_TRACE(sql);
-    CheckPipelinedMatchesStaged(catalog, sql);
+    CheckThreadsAgreeWithOracle(catalog, sql);
   }
 }
 

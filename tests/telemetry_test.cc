@@ -16,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <map>
@@ -301,8 +303,24 @@ TEST(TelemetryTraceTest, TraceJsonIsWellFormedWithPoolTaskSpans) {
               "select a from r where exists (select e from s where e = a)")
           .status());
   // The tiny paper relations may not fan out; force pool-task spans so the
-  // worker-track assertion is deterministic.
-  ParallelForEach(16, 4, [](int64_t) {});
+  // worker-track assertion is deterministic. The caller's helping wait can
+  // run every unit itself, so unit 0 holds its thread until some unit has
+  // run elsewhere: the caller then cannot drain the helpers, and a worker
+  // must run one. The wait is bounded so a broken pool fails the span
+  // assertions below instead of hanging.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> ran_elsewhere{false};
+  ParallelForEach(16, 4, [&](int64_t unit) {
+    if (std::this_thread::get_id() != caller) ran_elsewhere.store(true);
+    if (unit != 0) return;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!ran_elsewhere.load() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  });
+  EXPECT_TRUE(ran_elsewhere.load());
 
   telemetry::FlushTrace();
   telemetry::UninstallTraceSink();
