@@ -1,14 +1,14 @@
 // A/B benchmark for cost-driven planning from load-time statistics
-// (DESIGN.md §13): the perfect (dense-array) hash join against the generic
-// chained hash table, the build-side swap, the end-to-end cost_based
+// (DESIGN.md §13): perfect (dense `key - min`) slots against hash slots in
+// the one join table, the build-side swap, the end-to-end cost_based
 // planner, and zone-map granule pruning on base scans.
 //
 // Series (each strictly interleaved, min-of-N, identity-checked on the
 // first iteration):
 //  * StatsJoin/PerfectJoin/{row,batch} — exec-level HashJoinNode over the
-//    dense o_orderkey key: default hints (generic table) versus the
+//    dense o_orderkey key: default hints (hash slots) versus the
 //    perfect-keying hints the estimator derives from column min/max. Same
-//    inputs, same output order; only the internal table layout differs.
+//    inputs, same output order; only the slot function differs.
 //  * StatsJoin/BuildSwap/row — default build on the 4x-larger right input
 //    versus the hinted left build with the right side streamed past it.
 //  * StatsJoin/EndToEnd/* — full SQL under cost_based=false vs. the
@@ -19,8 +19,8 @@
 //    deterministic granules scanned/pruned telemetry counters.
 //
 // Results land in the NESTRA_STATS_JOIN_JSON sink (BENCH_9.json, schema
-// "nestra-stats-join-compare-v1"). CI gates: PerfectJoin speedup >= 1.3x,
-// ZonePrune granules_pruned > 0, every entry identical.
+// "nestra-stats-join-compare-v1"). CI gates: ZonePrune granules_pruned > 0
+// and every entry identical; speedups are printed, not gated.
 
 #include "bench_common.h"
 

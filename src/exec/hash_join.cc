@@ -1,5 +1,6 @@
 #include "exec/hash_join.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -11,6 +12,17 @@
 #include "common/thread_pool.h"
 
 namespace nestra {
+
+namespace {
+
+bool HasNullKey(const Row& row, const std::vector<int>& key_idx) {
+  for (const int idx : key_idx) {
+    if (row[idx].is_null()) return true;
+  }
+  return false;
+}
+
+}  // namespace
 
 HashJoinNode::HashJoinNode(ExecNodePtr left, ExecNodePtr right,
                            JoinType join_type, std::vector<EquiPair> equi,
@@ -43,13 +55,10 @@ HashJoinNode::HashJoinNode(ExecNodePtr left, ExecNodePtr right,
 }
 
 std::string HashJoinNode::detail() const {
-  std::string d;
-  if (hints_.build_left) d = "build=left";
-  if (hints_.perfect) {
-    if (!d.empty()) d += ",";
-    d += "perfect";
-  }
-  return d;
+  // The table actually built: a perfect hint that failed validation, or
+  // one on a multi-key join, hashed instead.
+  if (!perfect_built_) return hints_.build_left ? "build=left" : "";
+  return hints_.build_left ? "build=left,perfect" : "perfect";
 }
 
 Status HashJoinNode::ChargeMem(int64_t bytes) {
@@ -106,163 +115,93 @@ Status HashJoinNode::OpenImpl() {
     return MirroredBuildProbe();
   }
 
-  NESTRA_RETURN_NOT_OK(BuildTable());
-  if (num_threads_ > 1) {
-    NESTRA_RETURN_NOT_OK(ParallelProbe());
-  }
-  return Status::OK();
-}
-
-Status HashJoinNode::BuildTable() {
-  build_has_null_key_ = false;
-  build_rows_ = 0;
-  flat_built_ = false;
-  perfect_built_ = false;
-  perfect_head_.clear();
-
   // Drain the child serially (Next/NextBatch is a serial protocol), then
-  // hash and partition the materialized rows in parallel.
+  // build the table over the materialized rows.
   std::vector<Row> rows;
   int64_t build_bytes = 0;
   NESTRA_RETURN_NOT_OK(
       DrainAllRows(right_.get(), vectorized_, &rows, &build_bytes));
   build_rows_ = static_cast<int64_t>(rows.size());
   NESTRA_RETURN_NOT_OK(ChargeMem(build_bytes));
-
-  const int64_t n = build_rows_;
-  const size_t num_parts = num_threads_ > 1 ? static_cast<size_t>(num_threads_)
-                                            : size_t{1};
-  partitions_.assign(num_parts, Buckets{});
-  if (n == 0) return Status::OK();
-
-  std::vector<size_t> hashes(static_cast<size_t>(n));
-  std::vector<uint8_t> has_null(static_cast<size_t>(n), 0);
-  ParallelForMorsels(n, num_threads_, [&](int64_t, int64_t begin,
-                                          int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      const Row& r = rows[static_cast<size_t>(i)];
-      bool null_key = false;
-      for (const int idx : right_key_idx_) {
-        if (r[idx].is_null()) null_key = true;
-      }
-      has_null[static_cast<size_t>(i)] = null_key ? 1 : 0;
-      if (!null_key) {
-        hashes[static_cast<size_t>(i)] = SqlKeyHashOn(r, right_key_idx_);
-      }
-    }
-  });
-  // One serial pass: null-key detection for the null-aware antijoin, plus
-  // the logical size of the key copies the partitioned build will make
-  // (only that build duplicates keys out of the rows).
-  int64_t key_bytes = 0;
-  for (int64_t i = 0; i < n; ++i) {
-    const size_t si = static_cast<size_t>(i);
-    if (has_null[si] != 0) {
-      build_has_null_key_ = true;
-      continue;
-    }
-    for (const int idx : right_key_idx_) {
-      key_bytes += ValueBytes(rows[si][idx]);
-    }
+  std::vector<uint8_t> null_key;
+  NESTRA_RETURN_NOT_OK(BuildChains(std::move(rows), right_key_idx_, &null_key));
+  build_has_null_key_ =
+      std::find(null_key.begin(), null_key.end(), 1) != null_key.end();
+  if (num_threads_ > 1) {
+    NESTRA_RETURN_NOT_OK(ParallelProbe());
   }
-
-  // Perfect (dense-array) keying: single equality key over a hinted dense
-  // int range. Validated against the actual rows, so a wrong hint falls
-  // through to the generic builds below instead of corrupting results.
-  if (hints_.perfect && equi_.size() == 1 && TryPerfectBuild(&rows, has_null)) {
-    return ChargeMem(
-        static_cast<int64_t>(perfect_head_.size() * sizeof(int32_t) +
-                             flat_next_.size() * sizeof(int32_t)));
-  }
-
-  if (vectorized_ && num_threads_ == 1) {
-    // Serial vectorized build: index chains over the materialized rows.
-    // partitions_ would pay three allocations per insert (map node, key
-    // vector, bucket vector); the chains pay none.
-    flat_built_ = true;
-    flat_rows_ = std::move(rows);
-    flat_hash_ = std::move(hashes);
-    size_t num_buckets = 16;
-    while (num_buckets < static_cast<size_t>(n) * 2) num_buckets <<= 1;
-    flat_mask_ = num_buckets - 1;
-    flat_head_.assign(num_buckets, -1);
-    flat_next_.assign(static_cast<size_t>(n), -1);
-    // Reverse insertion order: each push-front then leaves every chain in
-    // arrival order, matching the bucketed build's candidate order.
-    for (int64_t i = n - 1; i >= 0; --i) {
-      const size_t si = static_cast<size_t>(i);
-      if (has_null[si] != 0) continue;
-      const size_t b = flat_hash_[si] & flat_mask_;
-      flat_next_[si] = flat_head_[b];
-      flat_head_[b] = static_cast<int32_t>(i);
-    }
-    return ChargeMem(
-        static_cast<int64_t>(flat_head_.size() * sizeof(int32_t) +
-                             flat_next_.size() * sizeof(int32_t) +
-                             flat_hash_.size() * sizeof(size_t)));
-  }
-
-  // Each partition owner scans the rows in arrival order and inserts the
-  // ones hashing to it, so bucket candidate order is identical to a serial
-  // build no matter how partitions are scheduled.
-  ParallelForEach(static_cast<int64_t>(num_parts), num_threads_,
-                  [&](int64_t p) {
-                    Buckets& buckets = partitions_[static_cast<size_t>(p)];
-                    // Size for the worst case (all keys distinct) up front
-                    // so large builds never rehash mid-insert.
-                    buckets.max_load_factor(0.7F);
-                    buckets.reserve(static_cast<size_t>(n) / num_parts + 1);
-                    for (int64_t i = 0; i < n; ++i) {
-                      const size_t si = static_cast<size_t>(i);
-                      if (has_null[si] != 0) continue;
-                      if (hashes[si] % num_parts !=
-                          static_cast<size_t>(p)) {
-                        continue;
-                      }
-                      Row& row = rows[si];
-                      std::vector<Value> key;
-                      key.reserve(right_key_idx_.size());
-                      for (const int idx : right_key_idx_) {
-                        key.push_back(row[idx]);
-                      }
-                      buckets[std::move(key)].push_back(std::move(row));
-                    }
-                  });
-  return ChargeMem(key_bytes);
+  return Status::OK();
 }
 
-bool HashJoinNode::TryPerfectBuild(std::vector<Row>* rows,
-                                   const std::vector<uint8_t>& has_null) {
-  const int64_t n = static_cast<int64_t>(rows->size());
+Status HashJoinNode::BuildChains(std::vector<Row> rows,
+                                 const std::vector<int>& key_idx,
+                                 std::vector<uint8_t>* null_key) {
+  table_rows_ = std::move(rows);
+  table_key_idx_ = key_idx;
+  perfect_built_ = false;
+  const size_t n = table_rows_.size();
+  null_key->assign(n, 0);
+  if (n == 0) return Status::OK();  // no slots: every probe misses
+
+  // Perfect keying: a single equality key whose every non-NULL build value
+  // is an int64 inside the hinted range. Validated against the actual
+  // rows, so a wrong hint falls back to hash slots instead of corrupting
+  // results.
   const int64_t min = hints_.perfect_min;
   const int64_t max = hints_.perfect_max;
-  if (max < min) return false;
-  const int64_t span = max - min + 1;  // the estimator caps this at 2^22
-  const int key_idx = right_key_idx_[0];
-  // Validate before committing: every non-NULL build key must be an int64
-  // inside the hinted range. Load-time stats guarantee this for immutable
-  // catalog tables; anything else (a stale hint) degrades to the generic
-  // build, never to wrong results.
-  for (int64_t i = 0; i < n; ++i) {
-    if (has_null[static_cast<size_t>(i)] != 0) continue;
-    const Value& v = (*rows)[static_cast<size_t>(i)][key_idx];
-    if (!v.is_int() || v.int64() < min || v.int64() > max) return false;
+  perfect_built_ = hints_.perfect && key_idx.size() == 1 && max >= min;
+  for (size_t i = 0; perfect_built_ && i < n; ++i) {
+    const Value& v = table_rows_[i][key_idx[0]];
+    perfect_built_ =
+        v.is_null() || (v.is_int() && v.int64() >= min && v.int64() <= max);
   }
-  perfect_built_ = true;
-  flat_rows_ = std::move(*rows);
-  perfect_head_.assign(static_cast<size_t>(span), -1);
-  flat_next_.assign(static_cast<size_t>(n), -1);
-  // Reverse insertion order, like the flat build: push-front leaves every
-  // chain in arrival order, so candidate order matches the generic table.
-  for (int64_t i = n - 1; i >= 0; --i) {
-    const size_t si = static_cast<size_t>(i);
-    if (has_null[si] != 0) continue;
+  // Dense slots need no hashes; hash slots hash every non-NULL key.
+  table_hash_.assign(perfect_built_ ? 0 : n, 0);
+  ParallelForMorsels(static_cast<int64_t>(n), num_threads_,
+                     [&](int64_t, int64_t begin, int64_t end) {
+                       for (int64_t i = begin; i < end; ++i) {
+                         const size_t si = static_cast<size_t>(i);
+                         if (HasNullKey(table_rows_[si], key_idx)) {
+                           (*null_key)[si] = 1;
+                         } else if (!perfect_built_) {
+                           table_hash_[si] =
+                               SqlKeyHashOn(table_rows_[si], key_idx);
+                         }
+                       }
+                     });
+  size_t slots = 16;
+  if (perfect_built_) {
+    slots = static_cast<size_t>(max - min + 1);  // estimator caps it at 2^22
+  } else {
+    while (slots < n * 2) slots <<= 1;
+    mask_ = slots - 1;
+  }
+  head_.assign(slots, -1);
+  next_.assign(n, -1);
+  // Reverse insertion order: each push-front then leaves every chain in
+  // arrival order.
+  for (size_t i = n; i-- > 0;) {
+    if ((*null_key)[i] != 0) continue;
     const size_t slot =
-        static_cast<size_t>(flat_rows_[si][key_idx].int64() - min);
-    flat_next_[si] = perfect_head_[slot];
-    perfect_head_[slot] = static_cast<int32_t>(i);
+        perfect_built_
+            ? static_cast<size_t>(table_rows_[i][key_idx[0]].int64() - min)
+            : table_hash_[i] & mask_;
+    next_[i] = head_[slot];
+    head_[slot] = static_cast<int32_t>(i);
   }
-  return true;
+  return ChargeMem(ChainBytes());
+}
+
+int64_t HashJoinNode::ChainBytes() const {
+  return static_cast<int64_t>((head_.size() + next_.size()) * sizeof(int32_t) +
+                              table_hash_.size() * sizeof(size_t));
+}
+
+void HashJoinNode::FreeChains() {
+  ReleaseMem(ChainBytes());
+  table_hash_ = std::vector<size_t>();
+  head_ = std::vector<int32_t>();
+  next_ = std::vector<int32_t>();
 }
 
 bool HashJoinNode::DenseKeyOf(const Value& v, int64_t* key) const {
@@ -282,144 +221,64 @@ bool HashJoinNode::DenseKeyOf(const Value& v, int64_t* key) const {
   return true;
 }
 
-void HashJoinNode::GatherFlatCandidates(const std::vector<Value>& key,
-                                        size_t h) const {
-  flat_candidates_.clear();
-  for (int32_t j = flat_head_[h & flat_mask_]; j >= 0; j = flat_next_[j]) {
+template <typename KeyAt>
+void HashJoinNode::GatherCandidates(const KeyAt& key_at, size_t h,
+                                    std::vector<int32_t>* out) const {
+  if (head_.empty()) return;
+  size_t slot = h & mask_;
+  if (perfect_built_) {
+    int64_t key = 0;
+    if (!DenseKeyOf(key_at(0), &key)) return;
+    slot = static_cast<size_t>(key - hints_.perfect_min);
+  }
+  for (int32_t j = head_[slot]; j >= 0; j = next_[static_cast<size_t>(j)]) {
+    // A dense chain holds exactly this key. On a hash chain, equal keys
+    // always hash equal (SqlHash is consistent with TotalOrderCompare), so
+    // a hash mismatch can never hide a match.
     const size_t sj = static_cast<size_t>(j);
-    // Equal keys always hash equal (SqlHash is consistent with
-    // TotalOrderCompare), so a hash mismatch can never hide a match.
-    if (flat_hash_[sj] != h) continue;
-    const Row& row = flat_rows_[sj];
-    bool equal = true;
-    for (size_t k = 0; k < right_key_idx_.size(); ++k) {
-      if (Value::TotalOrderCompare(key[k], row[right_key_idx_[k]]) != 0) {
-        equal = false;
-        break;
-      }
+    bool equal = perfect_built_ || table_hash_[sj] == h;
+    for (size_t k = 0; !perfect_built_ && equal && k < table_key_idx_.size();
+         ++k) {
+      equal = Value::TotalOrderCompare(
+                  key_at(k), table_rows_[sj][table_key_idx_[k]]) == 0;
     }
-    if (equal) flat_candidates_.push_back(&row);
+    if (equal) out->push_back(j);
   }
 }
 
-void HashJoinNode::ProbeRowPerfect(const Row& left_row,
-                                   std::vector<const Row*>* scratch,
-                                   std::vector<Row>* out) const {
-  // Caller-owned scratch: the perfect probe runs under ParallelProbe too,
-  // where concurrent morsels must not share a candidate buffer.
-  const Value& v = left_row[left_key_idx_[0]];
-  scratch->clear();
-  const bool probe_null = v.is_null();
-  int64_t key = 0;
-  if (!probe_null && DenseKeyOf(v, &key)) {
-    for (int32_t j = perfect_head_[static_cast<size_t>(key -
-                                                       hints_.perfect_min)];
-         j >= 0; j = flat_next_[j]) {
-      scratch->push_back(&flat_rows_[static_cast<size_t>(j)]);
-    }
+void HashJoinNode::ProbeRow(const Row& left_row,
+                            std::vector<int32_t>* candidates,
+                            std::vector<Row>* out) const {
+  const bool probe_null = HasNullKey(left_row, left_key_idx_);
+  candidates->clear();
+  if (!probe_null) {
+    GatherCandidates(
+        [&](size_t k) -> const Value& { return left_row[left_key_idx_[k]]; },
+        perfect_built_ ? 0 : SqlKeyHashOn(left_row, left_key_idx_),
+        candidates);
   }
-  EmitMatches(left_row, probe_null, *scratch, out);
+  EmitMatches(left_row, probe_null, *candidates, out);
 }
 
 void HashJoinNode::EmitMatches(const Row& left_row, bool probe_null,
-                               const std::vector<const Row*>& candidates,
+                               const std::vector<int32_t>& candidates,
                                std::vector<Row>* out) const {
-  // Mirrors ProbeRow below over an already-gathered candidate list.
   bool matched = false;
-  for (const Row* right_row : candidates) {
-    Row combined = Row::Concat(left_row, *right_row);
+  for (const int32_t j : candidates) {
+    Row combined =
+        Row::Concat(left_row, table_rows_[static_cast<size_t>(j)]);
     if (!bound_residual_.Matches(combined)) continue;
     matched = true;
     if (join_type_ == JoinType::kInner ||
         join_type_ == JoinType::kLeftOuter) {
+      // Joins never rename: the concatenated row is exactly as wide as
+      // the schema fixed at construction.
       NESTRA_DCHECK(combined.size() == schema_.num_fields());
       out->push_back(std::move(combined));
       continue;
     }
+    // Semi/anti flavors decide on the first residual-passing match.
     break;
-  }
-
-  switch (join_type_) {
-    case JoinType::kInner:
-      break;
-    case JoinType::kLeftSemi:
-      if (matched) out->push_back(left_row);
-      break;
-    case JoinType::kLeftOuter:
-      if (!matched) {
-        NESTRA_DCHECK(left_row.size() + right_width_ == schema_.num_fields());
-        out->push_back(Row::Concat(left_row, Row::Nulls(right_width_)));
-      }
-      break;
-    case JoinType::kLeftAnti:
-      if (!matched) out->push_back(left_row);
-      break;
-    case JoinType::kLeftAntiNullAware: {
-      if (matched) break;
-      if (build_rows_ == 0) {
-        out->push_back(left_row);
-        break;
-      }
-      if (!probe_null && !build_has_null_key_) out->push_back(left_row);
-      break;
-    }
-  }
-}
-
-void HashJoinNode::ProbeRow(const Row& left_row, std::vector<Row>* out) const {
-  if (perfect_built_) {
-    // Serial callers share flat_candidates_ as scratch; ParallelProbe calls
-    // ProbeRowPerfect directly with a per-morsel buffer instead.
-    ProbeRowPerfect(left_row, &flat_candidates_, out);
-    return;
-  }
-  if (flat_built_) {
-    bool probe_null = false;
-    std::vector<Value> key;
-    key.reserve(left_key_idx_.size());
-    for (const int idx : left_key_idx_) {
-      if (left_row[idx].is_null()) probe_null = true;
-      key.push_back(left_row[idx]);
-    }
-    flat_candidates_.clear();
-    if (!probe_null) GatherFlatCandidates(key, SqlValueKeyHash{}(key));
-    EmitMatches(left_row, probe_null, flat_candidates_, out);
-    return;
-  }
-  const std::vector<Row>* candidates = nullptr;
-  bool probe_null = false;
-  {
-    std::vector<Value> key;
-    key.reserve(left_key_idx_.size());
-    for (const int idx : left_key_idx_) {
-      if (left_row[idx].is_null()) probe_null = true;
-      key.push_back(left_row[idx]);
-    }
-    if (!probe_null) {
-      const size_t h = SqlValueKeyHash{}(key);
-      const Buckets& buckets = partitions_[h % partitions_.size()];
-      const auto it = buckets.find(key);
-      if (it != buckets.end()) candidates = &it->second;
-    }
-  }
-
-  bool matched = false;
-  if (candidates != nullptr) {
-    for (const Row& right_row : *candidates) {
-      Row combined = Row::Concat(left_row, right_row);
-      if (!bound_residual_.Matches(combined)) continue;
-      matched = true;
-      if (join_type_ == JoinType::kInner ||
-          join_type_ == JoinType::kLeftOuter) {
-        // Joins never rename: the concatenated row is exactly as wide as
-        // the schema fixed at construction.
-        NESTRA_DCHECK(combined.size() == schema_.num_fields());
-        out->push_back(std::move(combined));
-        continue;
-      }
-      // Semi/anti flavors decide on the first residual-passing match.
-      break;
-    }
   }
 
   switch (join_type_) {
@@ -438,19 +297,17 @@ void HashJoinNode::ProbeRow(const Row& left_row, std::vector<Row>* out) const {
     case JoinType::kLeftAnti:
       if (!matched) out->push_back(left_row);
       break;
-    case JoinType::kLeftAntiNullAware: {
-      if (matched) break;
-      // NOT IN semantics (single conceptual key): empty set keeps the row;
-      // otherwise NULL probe key or NULL in the build keys -> Unknown ->
-      // dropped.
-      if (build_rows_ == 0) {
-        out->push_back(left_row);
-        break;
-      }
-      if (!probe_null && !build_has_null_key_) out->push_back(left_row);
+    case JoinType::kLeftAntiNullAware:
+      if (!matched && NotInKeeps(probe_null)) out->push_back(left_row);
       break;
-    }
   }
+}
+
+bool HashJoinNode::NotInKeeps(bool probe_null) const {
+  // NOT IN semantics (single conceptual key): the empty set keeps the row;
+  // otherwise a NULL probe key or a NULL among the build keys makes the
+  // comparison UNKNOWN, which drops it.
+  return build_rows_ == 0 || (!probe_null && !build_has_null_key_);
 }
 
 Status HashJoinNode::ParallelProbe() {
@@ -470,18 +327,13 @@ Status HashJoinNode::ParallelProbe() {
   ParallelForMorsels(n, num_threads_,
                      [&](int64_t m, int64_t begin, int64_t end) {
                        std::vector<Row>& out = slots[static_cast<size_t>(m)];
-                       // Per-morsel candidate scratch: the shared
-                       // flat_candidates_ buffer is serial-only.
-                       std::vector<const Row*> scratch;
+                       std::vector<int32_t> candidates;
                        for (int64_t i = begin; i < end; ++i) {
-                         const Row& row = probe_rows[static_cast<size_t>(i)];
-                         if (perfect_built_) {
-                           ProbeRowPerfect(row, &scratch, &out);
-                         } else {
-                           ProbeRow(row, &out);
-                         }
+                         ProbeRow(probe_rows[static_cast<size_t>(i)],
+                                  &candidates, &out);
                        }
                      });
+  FreeChains();
 
   size_t total = 0;
   for (const std::vector<Row>& s : slots) total += s.size();
@@ -492,9 +344,10 @@ Status HashJoinNode::ParallelProbe() {
   }
   pending_pos_ = 0;
   materialized_ = true;
-  // The materialized join result replaces the probe-side rows as live
-  // state: charge it, then return the drained probe rows' bytes (the
-  // vector dies with this frame). One RowBytes walk at a fold point.
+  // The materialized join result replaces the chains and the probe-side
+  // rows as live state: charge it, then return the drained probe rows'
+  // bytes (the vector dies with this frame). One RowBytes walk at a fold
+  // point.
   int64_t pending_bytes = 0;
   for (const Row& r : pending_) pending_bytes += RowBytes(r);
   Status charged = ChargeMem(pending_bytes);
@@ -504,17 +357,13 @@ Status HashJoinNode::ParallelProbe() {
 
 Status HashJoinNode::MirroredBuildProbe() {
   // Build-side swap: the estimator says the right input dwarfs the left,
-  // so hash the LEFT rows and stream the right input past them. Join
-  // semantics stay probe-side (left): matches are collected in right
-  // arrival order, then stably regrouped by left row, which reproduces the
-  // default plan's output — per left row in arrival order, that row's
-  // matches in right arrival order — byte for byte.
+  // so build the table over the LEFT rows and stream the right input past
+  // it. Join semantics stay probe-side (left): matches are collected in
+  // right arrival order, then stably regrouped by left row, which
+  // reproduces the default plan's output — per left row in arrival order,
+  // that row's matches in right arrival order — byte for byte.
   materialized_ = true;
   left_done_ = true;
-  flat_built_ = false;
-  perfect_built_ = false;
-  build_has_null_key_ = false;
-  partitions_.clear();
 
   // Drain right first, left second — the same child order as the default
   // build+probe, so IoSim sees an identical scan sequence.
@@ -533,78 +382,10 @@ Status HashJoinNode::MirroredBuildProbe() {
   build_rows_ = nr;
   probe_count_ = nl;
 
-  std::vector<uint8_t> left_null(static_cast<size_t>(nl), 0);
-  for (int64_t i = 0; i < nl; ++i) {
-    for (const int idx : left_key_idx_) {
-      if (left_rows[static_cast<size_t>(i)][idx].is_null()) {
-        left_null[static_cast<size_t>(i)] = 1;
-      }
-    }
-  }
-  std::vector<uint8_t> right_null(static_cast<size_t>(nr), 0);
-  for (int64_t j = 0; j < nr; ++j) {
-    for (const int idx : right_key_idx_) {
-      if (right_rows[static_cast<size_t>(j)][idx].is_null()) {
-        right_null[static_cast<size_t>(j)] = 1;
-      }
-    }
-  }
-  for (int64_t j = 0; j < nr; ++j) {
-    if (right_null[static_cast<size_t>(j)] != 0) build_has_null_key_ = true;
-  }
-
-  // Key table over the LEFT rows: key -> left indices in arrival order —
-  // a dense array chain when the perfect hint validates, a hash map
-  // otherwise. NULL left keys match nothing and are only tracked for the
-  // null-aware epilogue.
-  using LeftBuckets =
-      std::unordered_map<std::vector<Value>, std::vector<int64_t>,
-                         SqlValueKeyHash, SqlValueKeyEq>;
-  LeftBuckets left_map;
-  std::vector<int32_t> head;
-  std::vector<int32_t> next;
-  bool perfect = hints_.perfect && equi_.size() == 1 &&
-                 hints_.perfect_max >= hints_.perfect_min;
-  if (perfect) {
-    const int key_idx = left_key_idx_[0];
-    for (int64_t i = 0; i < nl && perfect; ++i) {
-      const size_t si = static_cast<size_t>(i);
-      if (left_null[si] != 0) continue;
-      const Value& v = left_rows[si][key_idx];
-      if (!v.is_int() || v.int64() < hints_.perfect_min ||
-          v.int64() > hints_.perfect_max) {
-        perfect = false;
-      }
-    }
-  }
-  if (perfect) {
-    const int key_idx = left_key_idx_[0];
-    const size_t span = static_cast<size_t>(hints_.perfect_max -
-                                            hints_.perfect_min + 1);
-    head.assign(span, -1);
-    next.assign(static_cast<size_t>(nl), -1);
-    for (int64_t i = nl - 1; i >= 0; --i) {
-      const size_t si = static_cast<size_t>(i);
-      if (left_null[si] != 0) continue;
-      const size_t slot = static_cast<size_t>(
-          left_rows[si][key_idx].int64() - hints_.perfect_min);
-      next[si] = head[slot];
-      head[slot] = static_cast<int32_t>(i);
-    }
-  } else {
-    left_map.max_load_factor(0.7F);
-    left_map.reserve(static_cast<size_t>(nl) + 1);
-    for (int64_t i = 0; i < nl; ++i) {
-      const size_t si = static_cast<size_t>(i);
-      if (left_null[si] != 0) continue;
-      std::vector<Value> key;
-      key.reserve(left_key_idx_.size());
-      for (const int idx : left_key_idx_) {
-        key.push_back(left_rows[si][idx]);
-      }
-      left_map[std::move(key)].push_back(i);
-    }
-  }
+  // NULL left keys are never linked; they only feed the NOT IN epilogue.
+  std::vector<uint8_t> left_null;
+  NESTRA_RETURN_NOT_OK(
+      BuildChains(std::move(left_rows), left_key_idx_, &left_null));
 
   const bool combining = join_type_ == JoinType::kInner ||
                          join_type_ == JoinType::kLeftOuter;
@@ -618,47 +399,42 @@ Status HashJoinNode::MirroredBuildProbe() {
   const int64_t morsels = MorselCount(nr, num_threads_);
   std::vector<std::vector<Match>> match_slots(static_cast<size_t>(morsels));
   std::vector<std::vector<int64_t>> flag_slots(static_cast<size_t>(morsels));
+  std::vector<uint8_t> right_null(static_cast<size_t>(morsels), 0);
   ParallelForMorsels(nr, num_threads_, [&](int64_t m, int64_t begin,
                                            int64_t end) {
     std::vector<Match>& matches = match_slots[static_cast<size_t>(m)];
     std::vector<int64_t>& flags = flag_slots[static_cast<size_t>(m)];
-    std::vector<Value> key;
+    std::vector<int32_t> candidates;
     for (int64_t j = begin; j < end; ++j) {
-      const size_t sj = static_cast<size_t>(j);
-      if (right_null[sj] != 0) continue;
-      const Row& right_row = right_rows[sj];
-      const std::vector<int64_t>* idx_list = nullptr;
-      int32_t chain = -1;
-      if (perfect) {
-        int64_t k = 0;
-        if (!DenseKeyOf(right_row[right_key_idx_[0]], &k)) continue;
-        chain = head[static_cast<size_t>(k - hints_.perfect_min)];
-      } else {
-        key.clear();
-        for (const int idx : right_key_idx_) key.push_back(right_row[idx]);
-        const auto it = left_map.find(key);
-        if (it == left_map.end()) continue;
-        idx_list = &it->second;
+      const Row& right_row = right_rows[static_cast<size_t>(j)];
+      if (HasNullKey(right_row, right_key_idx_)) {
+        right_null[static_cast<size_t>(m)] = 1;
+        continue;
       }
-      const auto probe_one = [&](int64_t li) {
+      candidates.clear();
+      GatherCandidates(
+          [&](size_t k) -> const Value& {
+            return right_row[right_key_idx_[k]];
+          },
+          perfect_built_ ? 0 : SqlKeyHashOn(right_row, right_key_idx_),
+          &candidates);
+      for (const int32_t li : candidates) {
         Row combined =
-            Row::Concat(left_rows[static_cast<size_t>(li)], right_row);
-        if (!bound_residual_.Matches(combined)) return;
+            Row::Concat(table_rows_[static_cast<size_t>(li)], right_row);
+        if (!bound_residual_.Matches(combined)) continue;
         if (combining) {
           matches.push_back(Match{li, std::move(combined)});
         } else {
           flags.push_back(li);
         }
-      };
-      if (perfect) {
-        for (int32_t i = chain; i >= 0; i = next[static_cast<size_t>(i)]) {
-          probe_one(i);
-        }
-      } else {
-        for (const int64_t li : *idx_list) probe_one(li);
       }
     }
   });
+  build_has_null_key_ =
+      std::find(right_null.begin(), right_null.end(), 1) != right_null.end();
+  // Every right row has streamed past the chains: free them before the
+  // regroup materializes the result.
+  FreeChains();
 
   pending_.clear();
   pending_pos_ = 0;
@@ -690,7 +466,7 @@ Status HashJoinNode::MirroredBuildProbe() {
       const int64_t e = offsets[static_cast<size_t>(li) + 1];
       if (b == e) {
         if (join_type_ == JoinType::kLeftOuter) {
-          pending_.push_back(Row::Concat(left_rows[static_cast<size_t>(li)],
+          pending_.push_back(Row::Concat(table_rows_[static_cast<size_t>(li)],
                                          Row::Nulls(right_width_)));
         }
         continue;
@@ -719,12 +495,10 @@ Status HashJoinNode::MirroredBuildProbe() {
           emit = !hit;
           break;
         case JoinType::kLeftAntiNullAware:
-          // Same formula as the per-row epilogue in EmitMatches.
-          emit = !hit && (build_rows_ == 0 ||
-                          (left_null[si] == 0 && !build_has_null_key_));
+          emit = !hit && NotInKeeps(left_null[si] != 0);
           break;
       }
-      if (emit) pending_.push_back(std::move(left_rows[si]));
+      if (emit) pending_.push_back(std::move(table_rows_[si]));
     }
   }
   // Same hand-over as ParallelProbe: the pending result becomes the live
@@ -752,7 +526,7 @@ Status HashJoinNode::NextImpl(Row* out, bool* eof) {
       continue;
     }
     ++probe_count_;
-    ProbeRow(left_row, &pending_);
+    ProbeRow(left_row, &candidates_, &pending_);
   }
   *out = std::move(pending_[pending_pos_++]);
   *eof = false;
@@ -767,9 +541,8 @@ void HashJoinNode::HashProbeBatch() {
   constexpr size_t kNumericMix = 0xc4ceb9fe1a85ec53ULL;
   const size_t n = static_cast<size_t>(probe_batch_.num_rows());
   if (perfect_built_) {
-    // The perfect probe indexes by value, not hash — only the NULL flags
-    // are needed. Skipping the hash pass is most of the perfect join's win
-    // on the batch path.
+    // Dense slots index by value, not hash: only the NULL flags are
+    // needed.
     probe_hashes_.assign(n, 0);
     probe_null_.assign(n, 0);
     for (const int idx : left_key_idx_) {
@@ -820,42 +593,15 @@ void HashJoinNode::HashProbeBatch() {
 
 int64_t HashJoinNode::ProbeBatchRow(int64_t i, RowBatch* out) {
   const bool probe_null = probe_null_[static_cast<size_t>(i)] != 0;
-  flat_candidates_.clear();
+  candidates_.clear();
   if (!probe_null) {
-    if (perfect_built_) {
-      const ColumnVector& col = probe_batch_.column(left_key_idx_[0]);
-      int64_t key = 0;
-      bool in_range;
-      if (!col.generic() && (col.type() == TypeId::kInt64 ||
-                             col.type() == TypeId::kDate)) {
-        key = col.ints()[static_cast<size_t>(i)];
-        in_range = key >= hints_.perfect_min && key <= hints_.perfect_max;
-      } else {
-        in_range = DenseKeyOf(col.GetValue(i), &key);
-      }
-      if (in_range) {
-        for (int32_t j = perfect_head_[static_cast<size_t>(
-                 key - hints_.perfect_min)];
-             j >= 0; j = flat_next_[j]) {
-          flat_candidates_.push_back(&flat_rows_[static_cast<size_t>(j)]);
-        }
-      }
-    } else {
-      scratch_key_.clear();
-      for (const int idx : left_key_idx_) {
-        scratch_key_.push_back(probe_batch_.column(idx).GetValue(i));
-      }
-      const size_t h = probe_hashes_[static_cast<size_t>(i)];
-      if (flat_built_) {
-        GatherFlatCandidates(scratch_key_, h);
-      } else {
-        const Buckets& buckets = partitions_[h % partitions_.size()];
-        const auto it = buckets.find(scratch_key_);
-        if (it != buckets.end()) {
-          for (const Row& r : it->second) flat_candidates_.push_back(&r);
-        }
-      }
+    scratch_key_.clear();
+    for (const int idx : left_key_idx_) {
+      scratch_key_.push_back(probe_batch_.column(idx).GetValue(i));
     }
+    GatherCandidates(
+        [this](size_t k) -> const Value& { return scratch_key_[k]; },
+        probe_hashes_[static_cast<size_t>(i)], &candidates_);
   }
 
   const int left_width = probe_batch_.num_columns();
@@ -863,24 +609,26 @@ int64_t HashJoinNode::ProbeBatchRow(int64_t i, RowBatch* out) {
   bool matched = false;
   const bool combining = join_type_ == JoinType::kInner ||
                          join_type_ == JoinType::kLeftOuter;
-  if (!flat_candidates_.empty()) {
+  if (!candidates_.empty()) {
     if (combining && bound_residual_.always_true()) {
       // Hot path: no residual — left cells copy typed storage to typed
       // storage, right cells come straight from the build rows.
-      for (const Row* right_row : flat_candidates_) {
+      for (const int32_t j : candidates_) {
         matched = true;
         for (int c = 0; c < left_width; ++c) {
           out->column(c).AppendFrom(probe_batch_.column(c), i);
         }
+        const Row& right_row = table_rows_[static_cast<size_t>(j)];
         for (int c = 0; c < right_width_; ++c) {
-          out->column(left_width + c).Append((*right_row)[c]);
+          out->column(left_width + c).Append(right_row[c]);
         }
         ++emitted;
       }
     } else if (combining) {
       const Row left_row = probe_batch_.MaterializeRow(i);
-      for (const Row* right_row : flat_candidates_) {
-        Row combined = Row::Concat(left_row, *right_row);
+      for (const int32_t j : candidates_) {
+        Row combined =
+            Row::Concat(left_row, table_rows_[static_cast<size_t>(j)]);
         if (!bound_residual_.Matches(combined)) continue;
         matched = true;
         NESTRA_DCHECK(combined.size() == schema_.num_fields());
@@ -893,8 +641,9 @@ int64_t HashJoinNode::ProbeBatchRow(int64_t i, RowBatch* out) {
       matched = true;
     } else {
       const Row left_row = probe_batch_.MaterializeRow(i);
-      for (const Row* right_row : flat_candidates_) {
-        if (bound_residual_.Matches(Row::Concat(left_row, *right_row))) {
+      for (const int32_t j : candidates_) {
+        if (bound_residual_.Matches(Row::Concat(
+                left_row, table_rows_[static_cast<size_t>(j)]))) {
           matched = true;
           break;
         }
@@ -902,7 +651,7 @@ int64_t HashJoinNode::ProbeBatchRow(int64_t i, RowBatch* out) {
     }
   }
 
-  // Per-row epilogue, mirroring ProbeRow exactly.
+  // Per-row epilogue, mirroring EmitMatches exactly.
   bool emit_left_only = false;
   switch (join_type_) {
     case JoinType::kInner:
@@ -925,12 +674,7 @@ int64_t HashJoinNode::ProbeBatchRow(int64_t i, RowBatch* out) {
       emit_left_only = !matched;
       break;
     case JoinType::kLeftAntiNullAware:
-      if (matched) break;
-      if (build_rows_ == 0) {
-        emit_left_only = true;
-        break;
-      }
-      emit_left_only = !probe_null && !build_has_null_key_;
+      emit_left_only = !matched && NotInKeeps(probe_null);
       break;
   }
   if (emit_left_only) {
@@ -982,17 +726,11 @@ Status HashJoinNode::NextBatchImpl(RowBatch* out, bool* eof) {
 void HashJoinNode::CloseImpl() {
   stats_.build_rows = build_rows_;
   stats_.probe_rows = probe_count_;
+  FreeChains();
   ReleaseMem(charged_mem_);
-  partitions_.clear();
   pending_.clear();
-  flat_built_ = false;
-  flat_rows_.clear();
-  flat_hash_.clear();
-  flat_head_.clear();
-  flat_next_.clear();
-  flat_candidates_.clear();
-  perfect_built_ = false;
-  perfect_head_.clear();
+  table_rows_.clear();
+  candidates_.clear();
   materialized_ = false;
   left_->Close();
   right_->Close();

@@ -2,7 +2,6 @@
 #define NESTRA_EXEC_HASH_JOIN_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/hash_key.h"
@@ -33,13 +32,17 @@ namespace nestra {
 /// int64 key matches a float64 key of equal numeric value, exactly as the
 /// nested-loop join's `Value::Apply(kEq)` would.
 ///
-/// With `num_threads > 1` the build hashes the materialized right input in
-/// parallel and inserts into `num_threads` hash-partitioned tables (each
-/// partition scans rows in arrival order, so bucket candidate order — and
-/// therefore output order — matches the serial build exactly); the probe
-/// materializes the left input and probes it in row-range morsels whose
-/// per-morsel outputs are concatenated in morsel order. Both sides are
-/// byte-identical to the serial `num_threads == 1` streaming path.
+/// One build structure serves every thread count, both engines and both
+/// build sides: the drained build rows stay in arrival order, and each
+/// table slot heads an index chain through the rows in arrival order.
+/// A slot is `hash & mask` — or `key - perfect_min` when the perfect hint
+/// holds for every actual build key (a stale hint falls back to hashing).
+/// Keys are hashed in parallel morsels and the chains are linked in one
+/// serial pass, so candidate order — and therefore output order, per probe
+/// row its matches in build arrival order — never depends on the thread
+/// count. With `num_threads > 1` the probe materializes the left input and
+/// probes it in row-range morsels whose outputs are concatenated in morsel
+/// order, byte-identical to the serial streaming probe.
 class HashJoinNode final : public ExecNode {
  public:
   /// With `vectorized` the build and probe inputs are drained via
@@ -61,7 +64,8 @@ class HashJoinNode final : public ExecNode {
     return std::string("HashJoin[") + JoinTypeToString(join_type_) + "]";
   }
   /// Physical strategy annotation for EXPLAIN ANALYZE ("build=left",
-  /// "perfect", comma separated); empty for the default plan.
+  /// "perfect", comma separated); empty for the default plan. "perfect"
+  /// reports the table actually built, not the hint.
   std::string detail() const override;
   // The build side is consumed entirely in Open (and probe output begins
   // only after), which is what pins joins to the breaker role.
@@ -80,39 +84,41 @@ class HashJoinNode final : public ExecNode {
   void CloseImpl() override;
 
  private:
-  using Buckets = std::unordered_map<std::vector<Value>, std::vector<Row>,
-                                     SqlValueKeyHash, SqlValueKeyEq>;
-
-  // Drains the right child and builds the partitioned hash table.
-  Status BuildTable();
-  // Dense-array build over the single equality key; false (leaving the
-  // rows untouched) when a key violates the hinted [min, max] int range.
-  bool TryPerfectBuild(std::vector<Row>* rows,
-                       const std::vector<uint8_t>& has_null);
-  // Maps a probe key value to its dense array key; false when the value
+  // Builds the join table over `rows` keyed on `key_idx` (right_key_idx_,
+  // or left_key_idx_ for the mirrored build) and charges it. `null_key`
+  // flags the rows with a NULL key column; those are never linked.
+  Status BuildChains(std::vector<Row> rows, const std::vector<int>& key_idx,
+                     std::vector<uint8_t>* null_key);
+  // Logical bytes of the chain arrays plus the key hashes.
+  int64_t ChainBytes() const;
+  // Returns the chains' charge and frees them; no probe walks them after.
+  void FreeChains();
+  // Maps a probe key value to its dense slot key; false when the value
   // cannot equal any build key (NULL-free non-integral or out of range).
   bool DenseKeyOf(const Value& v, int64_t* key) const;
-  // Emits every output row produced by one probe row (matches in build
-  // order, then the per-row outer/anti epilogue). Thread-safe.
-  void ProbeRow(const Row& left_row, std::vector<Row>* out) const;
-  // ProbeRow against the perfect array; `scratch` holds the candidate list
-  // so concurrent morsels never share state.
-  void ProbeRowPerfect(const Row& left_row,
-                       std::vector<const Row*>* scratch,
-                       std::vector<Row>* out) const;
-  // The shared per-probe-row epilogue over an already-gathered candidate
-  // list (matches in candidate order, then outer/anti handling).
+  // Appends to `out` the indices of the table rows whose key equals the
+  // probe key, in arrival order. `key_at(k)` is the probe's k-th key value
+  // (never NULL) and `h` its SqlKeyHashOn hash (ignored when perfect).
+  // Read-only, so concurrent morsels may walk it with their own `out`.
+  template <typename KeyAt>
+  void GatherCandidates(const KeyAt& key_at, size_t h,
+                        std::vector<int32_t>* out) const;
+  // Emits every output row produced by one probe row; `candidates` is the
+  // caller's scratch. Thread-safe.
+  void ProbeRow(const Row& left_row, std::vector<int32_t>* candidates,
+                std::vector<Row>* out) const;
+  // The per-probe-row epilogue over gathered candidates: matches in
+  // candidate order, then the outer/anti handling.
   void EmitMatches(const Row& left_row, bool probe_null,
-                   const std::vector<const Row*>& candidates,
+                   const std::vector<int32_t>& candidates,
                    std::vector<Row>* out) const;
-  // Fills flat_candidates_ with the build rows whose key equals `key`
-  // (combined hash `h`), in arrival order.
-  void GatherFlatCandidates(const std::vector<Value>& key, size_t h) const;
+  // NOT IN keep rule for a probe row with no residual-passing match.
+  bool NotInKeeps(bool probe_null) const;
   // Materializes the left input and probes it with row-range morsels.
   Status ParallelProbe();
-  // hints_.build_left: hashes the left input instead and streams the right
-  // past it, re-emitting in left order; fills pending_ with the whole
-  // result (byte-identical to the default build).
+  // hints_.build_left: builds the table over the left input instead and
+  // streams the right past it, re-emitting in left order; fills pending_
+  // with the whole result (byte-identical to the default build).
   Status MirroredBuildProbe();
   // Fills probe_hashes_ / probe_null_ for the current probe batch, one
   // SqlHash key combine per row, column-at-a-time.
@@ -142,32 +148,24 @@ class HashJoinNode final : public ExecNode {
   std::vector<int> right_key_idx_;
   BoundPredicate bound_residual_;  // over left ++ right
 
-  std::vector<Buckets> partitions_;
+  // Semantic build side (the right input), whichever side the table holds.
   bool build_has_null_key_ = false;  // for kLeftAntiNullAware
   int64_t build_rows_ = 0;
 
-  // Flat chained hash table used by the serial vectorized build: the
-  // drained rows stay in flat_rows_ and buckets are index chains
-  // (flat_head_ per bucket, flat_next_ per row) kept in arrival order, so
-  // candidate enumeration — and therefore output order — matches the
-  // bucketed build exactly, without a node/key/bucket allocation per
-  // insert. partitions_ stays empty while this is active.
-  bool flat_built_ = false;
-  std::vector<Row> flat_rows_;
-  std::vector<size_t> flat_hash_;
-  std::vector<int32_t> flat_head_;
-  std::vector<int32_t> flat_next_;
-  size_t flat_mask_ = 0;
-  // Scratch for the current probe's key-equal candidates; the flat table
-  // only exists in serial execution, so one shared scratch is safe.
-  mutable std::vector<const Row*> flat_candidates_;
-
-  // Perfect (dense-array) table: build rows stay in flat_rows_ and each
-  // array slot heads an arrival-order index chain through flat_next_ —
-  // direct indexing by key - perfect_min, no hashing. Engages only when
-  // TryPerfectBuild validated every build key against the hinted range.
+  // The join table (see the class comment): table_rows_ in arrival order,
+  // head_[slot] the first row of a chain continued by next_[row]. Slots
+  // are `table_hash_[row] & mask_`, or key - hints_.perfect_min when
+  // perfect_built_ (then table_hash_ stays empty; the flag is kept past
+  // Close for detail()).
+  std::vector<Row> table_rows_;
+  std::vector<int> table_key_idx_;
+  std::vector<size_t> table_hash_;
+  std::vector<int32_t> head_;
+  std::vector<int32_t> next_;
+  size_t mask_ = 0;
   bool perfect_built_ = false;
-  std::vector<int32_t> perfect_head_;
+  // Candidate scratch of the serial streaming probes.
+  std::vector<int32_t> candidates_;
 
   // Probe state: pending_ holds the not-yet-emitted outputs — one probe
   // row's worth when streaming serially, the whole join result when

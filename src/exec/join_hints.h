@@ -23,10 +23,10 @@ struct JoinBuildHints {
   /// order, byte-identical to the default right-build plan.
   bool build_left = false;
 
-  /// Use a dense direct-index array instead of a hash table: build keys are
-  /// integers spanning [perfect_min, perfect_max]. Bounds come from exact
-  /// load-time column min/max, so only re-registration (which bumps
-  /// TableVersion) can invalidate them.
+  /// Index the join table's slots by `key - perfect_min` instead of by
+  /// hash: build keys are integers spanning [perfect_min, perfect_max].
+  /// Bounds come from exact load-time column min/max, so only
+  /// re-registration (which bumps TableVersion) can invalidate them.
   bool perfect = false;
   int64_t perfect_min = 0;
   int64_t perfect_max = 0;

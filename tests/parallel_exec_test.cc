@@ -3,7 +3,7 @@
 // ROW-EXACTLY equal to the serial num_threads = 1 run — same row order,
 // same value representations (int64 vs float64), not merely bag-equal.
 // This is the engine's contract (DESIGN.md): per-morsel output slots are
-// concatenated in morsel index order, partitioned hash-join builds insert
+// concatenated in morsel index order, hash-join tables chain their rows
 // in arrival order, and the parallel merge sort is stable, so scheduling
 // can never leak into results.
 
