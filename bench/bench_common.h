@@ -116,66 +116,6 @@ class BenchJsonRecorder {
   std::vector<Entry> entries_;
 };
 
-/// Collects one row-vs-vectorized A/B entry per recorded NRA benchmark and,
-/// when `NESTRA_COMPARE_JSON` names a file, writes them there as JSON at
-/// process exit (schema "nestra-bench-compare-v1"). CI merges the
-/// per-binary files into the BENCH_3.json artifact.
-class CompareJsonRecorder {
- public:
-  static CompareJsonRecorder& Get() {
-    static CompareJsonRecorder* recorder = [] {
-      auto* r = new CompareJsonRecorder();
-      std::atexit(&CompareJsonRecorder::WriteAtExit);
-      return r;
-    }();
-    return *recorder;
-  }
-
-  void Record(const std::string& name, double row_min_ms,
-              double vectorized_min_ms, bool identical) {
-    std::lock_guard<std::mutex> lock(mu_);
-    entries_.push_back({name, row_min_ms, vectorized_min_ms, identical});
-  }
-
- private:
-  struct Entry {
-    std::string name;
-    double row_min_ms;
-    double vectorized_min_ms;
-    bool identical;
-  };
-
-  static void WriteAtExit() {
-    const char* path = std::getenv("NESTRA_COMPARE_JSON");
-    if (path == nullptr || path[0] == '\0') return;
-    CompareJsonRecorder& self = Get();
-    std::lock_guard<std::mutex> lock(self.mu_);
-    std::FILE* f = std::fopen(path, "w");
-    if (f == nullptr) return;
-    std::fprintf(f, "{\n  \"schema\": \"nestra-bench-compare-v1\",\n");
-    std::fprintf(f, "  \"meta\": %s,\n", BuildMetaJson().c_str());
-    std::fprintf(f, "  \"entries\": [");
-    for (size_t i = 0; i < self.entries_.size(); ++i) {
-      const Entry& e = self.entries_[i];
-      const double speedup = e.vectorized_min_ms > 0
-                                 ? e.row_min_ms / e.vectorized_min_ms
-                                 : 0.0;
-      std::fprintf(f,
-                   "%s\n    {\"name\": \"%s\", \"row_min_ms\": %.6f, "
-                   "\"vectorized_min_ms\": %.6f, \"speedup\": %.4f, "
-                   "\"identical\": %s}",
-                   i == 0 ? "" : ",", e.name.c_str(), e.row_min_ms,
-                   e.vectorized_min_ms, speedup,
-                   e.identical ? "true" : "false");
-    }
-    std::fprintf(f, "\n  ]\n}\n");
-    std::fclose(f);
-  }
-
-  std::mutex mu_;
-  std::vector<Entry> entries_;
-};
-
 /// Collects one QueryProfile JSON document per recorded NRA benchmark and,
 /// when `NESTRA_PROFILE_JSON` names a file, writes them there at process
 /// exit (schema "nestra-profile-trajectory-v1"). The profile is taken from
@@ -392,59 +332,6 @@ inline void RunNra(benchmark::State& state, const Catalog& catalog,
           bench_name, wall_ms / static_cast<double>(iters),
           std::move(counters));
     }
-  }
-
-  // NESTRA_BENCH_COMPARE=row,vectorized re-times the query with the two
-  // engines strictly interleaved (min-of-N each): alternation cancels the
-  // slow thermal/noisy-neighbour drift a sequential A-then-B run picks up,
-  // so the ratio is trustworthy even on a loaded single-core box. Rides on
-  // the already-registered benchmarks; results land in the state counters
-  // and the NESTRA_COMPARE_JSON (BENCH_3.json) sink.
-  const char* compare = std::getenv("NESTRA_BENCH_COMPARE");
-  if (compare != nullptr && compare[0] != '\0' && !bench_name.empty()) {
-    NraOptions row_opts = options;
-    row_opts.vectorized = false;
-    NraOptions vec_opts = options;
-    vec_opts.vectorized = true;
-    NraExecutor row_exec(catalog, row_opts);
-    NraExecutor vec_exec(catalog, vec_opts);
-    double row_min = 0;
-    double vec_min = 0;
-    bool identical = true;
-    constexpr int kCompareIters = 5;
-    for (int i = 0; i < kCompareIters; ++i) {
-      if (sim != nullptr) sim->Reset();
-      auto t0 = std::chrono::steady_clock::now();
-      Result<Table> row_result = row_exec.ExecuteSql(sql);
-      const double row_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-      if (sim != nullptr) sim->Reset();
-      t0 = std::chrono::steady_clock::now();
-      Result<Table> vec_result = vec_exec.ExecuteSql(sql);
-      const double vec_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-      if (!row_result.ok() || !vec_result.ok()) {
-        state.SkipWithError("engine comparison run failed");
-        return;
-      }
-      if (i == 0) {
-        // Bit-identical, not just bag-equal: same schema, same rows, same
-        // order, same value types.
-        identical = row_result->schema().Equals(vec_result->schema()) &&
-                    row_result->rows() == vec_result->rows();
-      }
-      row_min = i == 0 ? row_ms : std::min(row_min, row_ms);
-      vec_min = i == 0 ? vec_ms : std::min(vec_min, vec_ms);
-    }
-    state.counters["row_min_ms"] = row_min;
-    state.counters["vectorized_min_ms"] = vec_min;
-    state.counters["vectorized_speedup"] =
-        vec_min > 0 ? row_min / vec_min : 0;
-    state.counters["engines_identical"] = identical ? 1 : 0;
-    CompareJsonRecorder::Get().Record(bench_name, row_min, vec_min,
-                                      identical);
   }
 }
 

@@ -5,12 +5,13 @@
 //
 // Series (each strictly interleaved, min-of-N, identity-checked on the
 // first iteration):
-//  * StatsJoin/PerfectJoin/{row,batch} — exec-level HashJoinNode over the
-//    dense o_orderkey key: default hints (hash slots) versus the
-//    perfect-keying hints the estimator derives from column min/max. Same
-//    inputs, same output order; only the slot function differs.
-//  * StatsJoin/BuildSwap/row — default build on the 4x-larger right input
-//    versus the hinted left build with the right side streamed past it.
+//  * StatsJoin/PerfectJoin/batch — exec-level HashJoinNode over the dense
+//    o_orderkey key: default hints (hash slots) versus the perfect-keying
+//    hints the estimator derives from column min/max. Same inputs, same
+//    output order; only the slot function differs.
+//  * StatsJoin/BuildSwap/batch — default build on the 4x-larger right
+//    input versus the hinted left build with the right side streamed past
+//    it.
 //  * StatsJoin/EndToEnd/* — full SQL under cost_based=false vs. the
 //    default cost_based=true, so every gate (strategy hints, rewrites,
 //    pruning) participates.
@@ -125,14 +126,13 @@ Table ProjectTwo(const Catalog& catalog, const std::string& table,
 // given hints (the copies happen outside the timed window).
 double TimedJoin(const Table& probe, const Table& build,
                  const std::vector<EquiPair>& equi,
-                 const JoinBuildHints& hints, bool vectorized, Table* out) {
+                 const JoinBuildHints& hints, Table* out) {
   auto l = std::make_unique<TableSourceNode>(probe);
   auto r = std::make_unique<TableSourceNode>(build);
   HashJoinNode join(std::move(l), std::move(r), JoinType::kInner, equi,
-                    /*residual=*/nullptr, /*num_threads=*/1, vectorized,
-                    hints);
+                    /*residual=*/nullptr, /*num_threads=*/1, hints);
   const auto t0 = std::chrono::steady_clock::now();
-  Result<Table> result = CollectTable(&join, vectorized);
+  Result<Table> result = CollectTable(&join);
   const double ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
@@ -144,7 +144,7 @@ double TimedJoin(const Table& probe, const Table& build,
 // Interleaved A/B of generic vs. hinted hash join at the exec layer.
 void RunJoinCompare(benchmark::State& state, const Table& probe,
                     const Table& build, const std::vector<EquiPair>& equi,
-                    const JoinBuildHints& hints, bool vectorized,
+                    const JoinBuildHints& hints,
                     const std::string& bench_name) {
   double generic_min = 0;
   double hinted_min = 0;
@@ -153,10 +153,9 @@ void RunJoinCompare(benchmark::State& state, const Table& probe,
   for (auto _ : state) {
     Table generic_out;
     Table hinted_out;
-    const double generic_ms = TimedJoin(probe, build, equi, JoinBuildHints{},
-                                        vectorized, &generic_out);
-    const double hinted_ms =
-        TimedJoin(probe, build, equi, hints, vectorized, &hinted_out);
+    const double generic_ms =
+        TimedJoin(probe, build, equi, JoinBuildHints{}, &generic_out);
+    const double hinted_ms = TimedJoin(probe, build, equi, hints, &hinted_out);
     if (iters == 0) {
       // Bit-identical: hints change the internal table layout only, never
       // output rows or their order.
@@ -242,11 +241,11 @@ void RunCostCompare(benchmark::State& state, const Catalog& catalog,
 
 void RegisterJoin(const std::string& name, const Table& probe,
                   const Table& build, std::vector<EquiPair> equi,
-                  const JoinBuildHints& hints, bool vectorized) {
+                  const JoinBuildHints& hints) {
   benchmark::RegisterBenchmark(
       name.c_str(), [&probe, &build, equi = std::move(equi), hints,
-                     vectorized, name](benchmark::State& state) {
-        RunJoinCompare(state, probe, build, equi, hints, vectorized, name);
+                     name](benchmark::State& state) {
+        RunJoinCompare(state, probe, build, equi, hints, name);
       })
       ->Unit(benchmark::kMillisecond)
       ->MinTime(0.05);
@@ -277,18 +276,16 @@ void RegisterAll() {
   perfect.perfect_min = 1;
   perfect.perfect_max = build->num_rows();
   const std::vector<EquiPair> on_orderkey = {{"l_orderkey", "o_orderkey"}};
-  RegisterJoin("StatsJoin/PerfectJoin/row", *probe, *build, on_orderkey,
-               perfect, /*vectorized=*/false);
   RegisterJoin("StatsJoin/PerfectJoin/batch", *probe, *build, on_orderkey,
-               perfect, /*vectorized=*/true);
+               perfect);
 
   // Swap: default plan builds on the 4x-larger right input; the hint
   // builds left and streams the big side past it.
   JoinBuildHints swap;
   swap.build_left = true;
   const std::vector<EquiPair> on_orderkey_rev = {{"o_orderkey", "l_orderkey"}};
-  RegisterJoin("StatsJoin/BuildSwap/row", *build, *probe, on_orderkey_rev,
-               swap, /*vectorized=*/false);
+  RegisterJoin("StatsJoin/BuildSwap/batch", *build, *probe, on_orderkey_rev,
+               swap);
 
   // End-to-end: the full cost-based planner against the flag-only plan.
   // Fanout ~1 keeps the rewrite gates off (pure strategy-hint effect)...

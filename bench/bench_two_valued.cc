@@ -161,20 +161,19 @@ void RegisterAll() {
   // NULLs — the same catalog the NativeNotNull series uses.
   const Catalog& catalog = SharedCatalog(/*declare_not_null=*/true);
 
-  // Vectorized single-table scan+filter: the kernels are identical except
+  // Single-table scan+filter: the compiled kernels are identical except
   // for the per-value NULL loads the 2VL compile proves away.
-  NraOptions vec = NraOptions::Optimized();
-  vec.vectorized = true;
-  vec.num_threads = 1;
+  NraOptions serial = NraOptions::Optimized();
+  serial.num_threads = 1;
   Register("TwoValued/ScanFilter/2-term", catalog,
            "select l_orderkey from lineitem "
            "where l_quantity > 25 and l_extendedprice > 1000",
-           vec);
+           serial);
   Register("TwoValued/ScanFilter/3-term", catalog,
            "select l_orderkey from lineitem "
            "where l_quantity > 10 and l_quantity < 40 "
            "and l_partkey <> l_suppkey",
-           vec);
+           serial);
 
   // Negative links on proven non-NULL operands: 3VL nest + pseudo-selection
   // versus one antijoin.

@@ -22,8 +22,8 @@ namespace nestra {
 /// All byte counts are *logical* sizes computed from row content
 /// (sizeof(Row/Value) plus string payload), never allocator capacities:
 /// logical sizes are a pure function of the data, which is what makes the
-/// reported peaks bit-identical across thread counts and across the
-/// row/vectorized engines at a fixed configuration.
+/// reported peaks run-to-run deterministic at a fixed configuration
+/// (threads, options).
 
 /// Logical footprint of one value: the variant header plus any string
 /// payload it owns.

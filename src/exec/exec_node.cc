@@ -52,6 +52,8 @@ Status ExecNode::Open() {
   stats_ = OperatorStats{};
   stats_.open_calls = open_calls + 1;
   adapter_saw_eof_ = false;
+  row_buffer_.Clear();
+  row_buffer_pos_ = 0;
   if (!timing_) return OpenImpl();
   const Clock::time_point start = Clock::now();
   Status s = OpenImpl();
@@ -126,6 +128,23 @@ Status ExecNode::NextBatchImpl(RowBatch* out, bool* eof) {
   return Status::OK();
 }
 
+Status ExecNode::NextRowFromBatch(Row* out, bool* eof) {
+  if (row_buffer_pos_ >= row_buffer_.num_rows()) {
+    row_buffer_.Reset(output_schema());
+    row_buffer_pos_ = 0;
+    bool batch_eof = false;
+    NESTRA_RETURN_NOT_OK(NextBatchImpl(&row_buffer_, &batch_eof));
+    if (batch_eof) {
+      *eof = true;
+      return Status::OK();
+    }
+    RecordBatchBytes(row_buffer_);
+  }
+  *out = row_buffer_.TakeRow(row_buffer_pos_++);
+  *eof = false;
+  return Status::OK();
+}
+
 void ExecNode::Close() {
   if (!timing_) {
     CloseImpl();
@@ -147,79 +166,47 @@ void ExecNode::EnableTimingRecursive() {
 }
 
 namespace {
-Status DrainAllRowsImpl(ExecNode* node, bool vectorized,
-                        std::vector<Row>* rows) {
-  if (vectorized) {
-    // A TableSource already holds materialized rows; pulling them through
-    // a batch would transpose and re-materialize every one. The batch
-    // protocol hands over rows in bulk, so take them directly.
-    if (auto* source = dynamic_cast<TableSourceNode*>(node)) {
-      if (source->TakeAllRows(rows)) return Status::OK();
-    }
-    RowBatch batch;
-    bool eof = false;
-    while (true) {
-      NESTRA_RETURN_NOT_OK(node->NextBatch(&batch, &eof));
-      if (eof) break;
-      for (int64_t i = 0; i < batch.num_rows(); ++i) {
-        rows->push_back(batch.TakeRow(i));
+// Appends the remaining output of an opened node to `rows`, batch by batch.
+// With `take_source` a TableSourceNode hands its rows over in bulk instead:
+// pulling already-materialized rows through a batch would transpose and
+// re-materialize every one (the source cannot be reopened afterwards).
+Status AppendAllRows(ExecNode* node, bool take_source, std::vector<Row>* rows,
+                     int64_t* bytes) {
+  auto* source = take_source ? dynamic_cast<TableSourceNode*>(node) : nullptr;
+  const size_t before = rows->size();
+  if (source != nullptr && source->TakeAllRows(rows)) {
+    if (bytes != nullptr) {
+      for (size_t i = before; i < rows->size(); ++i) {
+        *bytes += RowBytes((*rows)[i]);
       }
     }
     return Status::OK();
   }
-  Row row;
+  RowBatch batch;
   bool eof = false;
   while (true) {
-    NESTRA_RETURN_NOT_OK(node->Next(&row, &eof));
+    NESTRA_RETURN_NOT_OK(node->NextBatch(&batch, &eof));
     if (eof) break;
-    rows->push_back(std::move(row));
-    row = Row();
+    for (int64_t i = 0; i < batch.num_rows(); ++i) {
+      rows->push_back(batch.TakeRow(i));
+      // Counted while the row is still in cache: a walk after the drain
+      // would re-read every row of a large stage result cold.
+      if (bytes != nullptr) *bytes += RowBytes(rows->back());
+    }
   }
   return Status::OK();
 }
 }  // namespace
 
-Status DrainAllRows(ExecNode* node, bool vectorized, std::vector<Row>* rows,
-                    int64_t* bytes) {
-  const size_t before = rows->size();
-  Status s = DrainAllRowsImpl(node, vectorized, rows);
-  if (s.ok() && bytes != nullptr) {
-    // One suffix walk per drain (a materialization boundary, never a
-    // per-row path). RowBytes is a pure function of row content, so both
-    // engines report identical drain bytes.
-    for (size_t i = before; i < rows->size(); ++i) {
-      *bytes += RowBytes((*rows)[i]);
-    }
-  }
-  return s;
+Status DrainAllRows(ExecNode* node, std::vector<Row>* rows, int64_t* bytes) {
+  return AppendAllRows(node, /*take_source=*/true, rows, bytes);
 }
 
-Result<Table> CollectTable(ExecNode* node, bool vectorized, int64_t* bytes) {
+Result<Table> CollectTable(ExecNode* node, int64_t* bytes) {
   NESTRA_RETURN_NOT_OK(node->Open());
   Table out(node->output_schema());
-  if (vectorized) {
-    RowBatch batch;
-    bool eof = false;
-    while (true) {
-      NESTRA_RETURN_NOT_OK(node->NextBatch(&batch, &eof));
-      if (eof) break;
-      for (int64_t i = 0; i < batch.num_rows(); ++i) {
-        out.AppendUnchecked(batch.TakeRow(i));
-        if (bytes != nullptr) *bytes += RowBytes(out.rows().back());
-      }
-    }
-    node->Close();
-    return out;
-  }
-  Row row;
-  bool eof = false;
-  while (true) {
-    NESTRA_RETURN_NOT_OK(node->Next(&row, &eof));
-    if (eof) break;
-    out.AppendUnchecked(std::move(row));
-    if (bytes != nullptr) *bytes += RowBytes(out.rows().back());
-    row = Row();
-  }
+  NESTRA_RETURN_NOT_OK(
+      AppendAllRows(node, /*take_source=*/false, &out.rows(), bytes));
   node->Close();
   return out;
 }

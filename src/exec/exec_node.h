@@ -36,8 +36,9 @@ const char* PipelineRoleLabel(PipelineRole role);
 /// \brief Volcano-style pull operator.
 ///
 /// Protocol: `Open()` once (binds expressions, builds hash tables, sorts —
-/// all pipeline-breaking work), then `Next(&row, &eof)` until `eof`, then
-/// `Close()`. Nodes own their children. Rows flow by value (moved where
+/// all pipeline-breaking work), then `NextBatch(&batch, &eof)` — or, for
+/// row-only consumers, `Next(&row, &eof)` — until `eof`, then `Close()`.
+/// Nodes own their children. Rows flow by value (moved where
 /// possible); pipelined stages never materialize, which is what makes the
 /// paper's fused nest+linking-selection (§4.2.2) a genuine single pass.
 ///
@@ -78,15 +79,16 @@ class ExecNode {
   /// when the stream is exhausted.
   Status Next(Row* out, bool* eof);
 
-  /// Produces the next batch of rows (vectorized mode). `*out` is reset to
-  /// this node's output schema and filled with up to ~RowBatch's capacity
-  /// rows (operators finishing a unit of work — e.g. a join completing one
+  /// Produces the next batch of rows. `*out` is reset to this node's
+  /// output schema and filled with up to ~RowBatch's capacity rows
+  /// (operators finishing a unit of work — e.g. a join completing one
   /// probe row's matches — may emit slightly more). `*eof` is set exactly
   /// when the batch comes back empty; a stream's batches are all non-empty
   /// until the final empty one. Like Next(), this maintains OperatorStats.
   /// Operators without a native NextBatchImpl run through a row-at-a-time
-  /// adapter, so the two protocols are freely interleavable per node edge
-  /// (but pick one per edge: both consume the same underlying stream).
+  /// adapter (and batch-only operators answer Next through
+  /// NextRowFromBatch), so either protocol can drive any node; pick one
+  /// per edge, as both consume the same underlying stream.
   Status NextBatch(RowBatch* out, bool* eof);
 
   void Close();
@@ -115,6 +117,12 @@ class ExecNode {
   /// hash join, fused nest+select).
   virtual Status NextBatchImpl(RowBatch* out, bool* eof);
 
+  /// The mirror of that adapter: serves a row pull from this node's own
+  /// NextBatchImpl, one buffered batch at a time. Operators whose only
+  /// evaluator is columnar (hash join, fused nest+select) implement
+  /// NextImpl as this call, so row-only consumers can still pull them.
+  Status NextRowFromBatch(Row* out, bool* eof);
+
   OperatorStats stats_;
   bool timing_ = false;
 
@@ -127,27 +135,25 @@ class ExecNode {
   // The row adapter must not call NextImpl again after it reported eof
   // (operators are not required to be re-callable past the end).
   bool adapter_saw_eof_ = false;
+  // NextRowFromBatch's buffered batch and the next row to hand out.
+  RowBatch row_buffer_;
+  int64_t row_buffer_pos_ = 0;
 };
 
 using ExecNodePtr = std::unique_ptr<ExecNode>;
 
-/// Drains a node (Open/Next*/Close) into a materialized table. With
-/// `vectorized` the drain runs over NextBatch instead; the resulting table
-/// is cell-for-cell identical either way. When `bytes` is non-null it
-/// accumulates the logical byte footprint (RowBytes) of the collected rows
-/// during the existing drain loop — no extra pass.
-Result<Table> CollectTable(ExecNode* node, bool vectorized = false,
-                           int64_t* bytes = nullptr);
+/// Drains a node (Open/NextBatch*/Close) into a materialized table. When
+/// `bytes` is non-null it accumulates the logical byte footprint
+/// (RowBytes) of the collected rows.
+Result<Table> CollectTable(ExecNode* node, int64_t* bytes = nullptr);
 
-/// Appends the full output of an already-opened node to `rows`, identical
-/// rows in identical order for both engines. With `vectorized` the drain
-/// runs over NextBatch, and a TableSourceNode child is drained by moving
-/// its rows out in bulk instead of round-tripping them through a batch.
-/// Used by materializing operators (hash join build/probe, sort). When
-/// `bytes` is non-null it accumulates the logical byte footprint of the
-/// rows appended by this call (identical for both engines — it is a pure
-/// function of row content).
-Status DrainAllRows(ExecNode* node, bool vectorized, std::vector<Row>* rows,
+/// Appends the full output of an already-opened node to `rows`, drained
+/// over NextBatch; a TableSourceNode is drained by moving its rows out in
+/// bulk instead of round-tripping them through a batch. Used by
+/// materializing operators (hash join build/probe, sort). When `bytes` is
+/// non-null it accumulates the logical byte footprint of the rows appended
+/// by this call.
+Status DrainAllRows(ExecNode* node, std::vector<Row>* rows,
                     int64_t* bytes = nullptr);
 
 /// \brief Leaf node replaying an owned, already-materialized table.

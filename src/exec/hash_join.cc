@@ -26,7 +26,7 @@ bool HasNullKey(const Row& row, const std::vector<int>& key_idx) {
 
 HashJoinNode::HashJoinNode(ExecNodePtr left, ExecNodePtr right,
                            JoinType join_type, std::vector<EquiPair> equi,
-                           ExprPtr residual, int num_threads, bool vectorized,
+                           ExprPtr residual, int num_threads,
                            const JoinBuildHints& hints)
     : left_(std::move(left)),
       right_(std::move(right)),
@@ -35,7 +35,6 @@ HashJoinNode::HashJoinNode(ExecNodePtr left, ExecNodePtr right,
       residual_(std::move(residual)),
       num_threads_(num_threads < 1 ? 1 : num_threads),
       hints_(hints) {
-  vectorized_ = vectorized;
   // Schema is known at construction: joins never rename.
   const Schema& ls = left_->output_schema();
   const Schema& rs = right_->output_schema();
@@ -119,8 +118,7 @@ Status HashJoinNode::OpenImpl() {
   // build the table over the materialized rows.
   std::vector<Row> rows;
   int64_t build_bytes = 0;
-  NESTRA_RETURN_NOT_OK(
-      DrainAllRows(right_.get(), vectorized_, &rows, &build_bytes));
+  NESTRA_RETURN_NOT_OK(DrainAllRows(right_.get(), &rows, &build_bytes));
   build_rows_ = static_cast<int64_t>(rows.size());
   NESTRA_RETURN_NOT_OK(ChargeMem(build_bytes));
   std::vector<uint8_t> null_key;
@@ -313,8 +311,7 @@ bool HashJoinNode::NotInKeeps(bool probe_null) const {
 Status HashJoinNode::ParallelProbe() {
   std::vector<Row> probe_rows;
   int64_t probe_bytes = 0;
-  NESTRA_RETURN_NOT_OK(
-      DrainAllRows(left_.get(), vectorized_, &probe_rows, &probe_bytes));
+  NESTRA_RETURN_NOT_OK(DrainAllRows(left_.get(), &probe_rows, &probe_bytes));
   NESTRA_RETURN_NOT_OK(ChargeMem(probe_bytes));
   const int64_t n = static_cast<int64_t>(probe_rows.size());
   probe_count_ = n;
@@ -370,10 +367,8 @@ Status HashJoinNode::MirroredBuildProbe() {
   std::vector<Row> right_rows;
   std::vector<Row> left_rows;
   int64_t input_bytes = 0;
-  NESTRA_RETURN_NOT_OK(
-      DrainAllRows(right_.get(), vectorized_, &right_rows, &input_bytes));
-  NESTRA_RETURN_NOT_OK(
-      DrainAllRows(left_.get(), vectorized_, &left_rows, &input_bytes));
+  NESTRA_RETURN_NOT_OK(DrainAllRows(right_.get(), &right_rows, &input_bytes));
+  NESTRA_RETURN_NOT_OK(DrainAllRows(left_.get(), &left_rows, &input_bytes));
   NESTRA_RETURN_NOT_OK(ChargeMem(input_bytes));
   const int64_t nl = static_cast<int64_t>(left_rows.size());
   const int64_t nr = static_cast<int64_t>(right_rows.size());
@@ -508,29 +503,6 @@ Status HashJoinNode::MirroredBuildProbe() {
   Status charged = ChargeMem(pending_bytes);
   ReleaseMem(input_bytes);
   return charged;
-}
-
-Status HashJoinNode::NextImpl(Row* out, bool* eof) {
-  while (pending_pos_ >= pending_.size()) {
-    if (left_done_) {
-      *eof = true;
-      return Status::OK();
-    }
-    pending_.clear();
-    pending_pos_ = 0;
-    Row left_row;
-    bool left_eof = false;
-    NESTRA_RETURN_NOT_OK(left_->Next(&left_row, &left_eof));
-    if (left_eof) {
-      left_done_ = true;
-      continue;
-    }
-    ++probe_count_;
-    ProbeRow(left_row, &candidates_, &pending_);
-  }
-  *out = std::move(pending_[pending_pos_++]);
-  *eof = false;
-  return Status::OK();
 }
 
 void HashJoinNode::HashProbeBatch() {

@@ -32,8 +32,7 @@ Status SortNode::OpenImpl() {
   rows_.clear();
   pos_ = 0;
   charged_bytes_ = 0;
-  NESTRA_RETURN_NOT_OK(
-      DrainAllRows(child_.get(), vectorized_, &rows_, &charged_bytes_));
+  NESTRA_RETURN_NOT_OK(DrainAllRows(child_.get(), &rows_, &charged_bytes_));
   // Always-on byte accounting for the sort buffer: the drain already
   // computed the logical footprint, so this is just bookkeeping.
   stats_.mem_bytes = charged_bytes_;

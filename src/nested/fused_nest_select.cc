@@ -106,12 +106,11 @@ Status FusedNestSelectNode::OpenImpl() {
   }
   has_prev_ = false;
   input_done_ = false;
-  pending_valid_ = false;
 
-  // Batched consumption: map each level's key columns to their position in
-  // the innermost key list (a superset of every level's keys, per the
-  // containment check above), so cross-batch boundary state is just the
-  // innermost key values of the last row seen.
+  // Map each level's key columns to their position in the innermost key
+  // list (a superset of every level's keys, per the containment check
+  // above), so cross-batch boundary state is just the innermost key values
+  // of the last row seen.
   prev_keys_.clear();
   key_slot_.assign(levels_.size(), {});
   const std::vector<int>& inner_keys = levels_.back().key_idx;
@@ -123,104 +122,6 @@ Status FusedNestSelectNode::OpenImpl() {
     }
   }
   return Status::OK();
-}
-
-void FusedNestSelectNode::OpenLevel(int i, const Row& row) {
-  LevelState& st = levels_[i];
-  st.open = true;
-  st.rep = row;
-  st.acc.Reset(st.linking_idx >= 0 ? row[st.linking_idx]
-                                   : specs_[i].pred.linking_const);
-}
-
-bool FusedNestSelectNode::FinalizeLevel(int i) {
-  LevelState& st = levels_[i];
-  st.open = false;
-  ++groups_closed_[i];
-  const TriBool r = st.acc.Result();
-  if (i == 0) {
-    if (IsTrue(r)) {
-      pending_ = st.rep.Select(output_idx_);
-      pending_valid_ = true;
-      return true;
-    }
-    if (specs_[0].mode == SelectionMode::kPseudo) {
-      pending_ = st.rep.Select(output_idx_);
-      for (int k : st.pad_idx) pending_[k] = Value::Null();
-      pending_valid_ = true;
-      return true;
-    }
-    return false;
-  }
-  // Contribute a member to the enclosing level. The member's key and linked
-  // values are this group's constants, read from the representative row; a
-  // failing group contributes nothing (see class comment).
-  LevelState& parent = levels_[i - 1];
-  if (IsTrue(r)) {
-    parent.acc.Add(st.rep[parent.member_key_idx],
-                   parent.linked_idx >= 0 ? st.rep[parent.linked_idx]
-                                          : Value::Null());
-  }
-  return false;
-}
-
-Status FusedNestSelectNode::NextImpl(Row* out, bool* eof) {
-  const int m = static_cast<int>(levels_.size());
-  while (true) {
-    if (pending_valid_) {
-      *out = std::move(pending_);
-      pending_valid_ = false;
-      *eof = false;
-      return Status::OK();
-    }
-    if (input_done_) {
-      *eof = true;
-      return Status::OK();
-    }
-
-    Row row;
-    bool child_eof = false;
-    NESTRA_RETURN_NOT_OK(child_->Next(&row, &child_eof));
-
-    if (child_eof) {
-      input_done_ = true;
-      if (has_prev_) {
-        // Close everything, innermost first.
-        for (int i = m - 1; i >= 0; --i) FinalizeLevel(i);
-      }
-      continue;  // pending_ may now hold the last output
-    }
-
-    if (!has_prev_) {
-      for (int i = 0; i < m; ++i) OpenLevel(i, row);
-      // The innermost level's members are the stream rows themselves.
-      LevelState& inner = levels_[m - 1];
-      inner.acc.Add(row[inner.member_key_idx],
-                    inner.linked_idx >= 0 ? row[inner.linked_idx]
-                                          : Value::Null());
-      prev_row_ = std::move(row);
-      has_prev_ = true;
-      continue;
-    }
-
-    // Outermost level whose group key changed.
-    int boundary = m;  // m = no change anywhere
-    for (int i = 0; i < m; ++i) {
-      if (Row::CompareOn(prev_row_, row, levels_[i].key_idx) != 0) {
-        boundary = i;
-        break;
-      }
-    }
-    if (boundary < m) {
-      for (int i = m - 1; i >= boundary; --i) FinalizeLevel(i);
-      for (int i = boundary; i < m; ++i) OpenLevel(i, row);
-    }
-    LevelState& inner = levels_[m - 1];
-    inner.acc.Add(row[inner.member_key_idx],
-                  inner.linked_idx >= 0 ? row[inner.linked_idx]
-                                        : Value::Null());
-    prev_row_ = std::move(row);
-  }
 }
 
 void FusedNestSelectNode::OpenLevelBatch(int i, int64_t r) {
@@ -257,6 +158,9 @@ void FusedNestSelectNode::FinalizeLevelBatch(int i, RowBatch* out) {
     out->AppendRow(std::move(row));
     return;
   }
+  // Contribute a member to the enclosing level. The member's key and linked
+  // values are this group's constants, kept from its representative row; a
+  // failing group contributes nothing (see class comment).
   LevelState& parent = levels_[i - 1];
   if (IsTrue(r)) parent.acc.Add(st.rep_member, st.rep_linked);
 }

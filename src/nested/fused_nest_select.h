@@ -70,7 +70,9 @@ class FusedNestSelectNode final : public ExecNode {
 
  protected:
   Status OpenImpl() override;
-  Status NextImpl(Row* out, bool* eof) override;
+  Status NextImpl(Row* out, bool* eof) override {
+    return NextRowFromBatch(out, eof);
+  }
   Status NextBatchImpl(RowBatch* out, bool* eof) override;
   void CloseImpl() override { child_->Close(); }
 
@@ -82,27 +84,21 @@ class FusedNestSelectNode final : public ExecNode {
     int member_key_idx = -1;     // pred's member primary key (flat schema)
     std::vector<int> pad_idx;    // output positions to null on pseudo fail
     LinkingAccumulator acc;
-    Row rep;                     // representative (first) row of open group
     bool open = false;
 
-    // Batched form: instead of copying the full (wide) representative row,
-    // each open group keeps only the values FinalizeLevel actually reads —
-    // the level-0 output prefix, or the member key/linked value fed to the
-    // enclosing accumulator.
+    // Instead of copying the full (wide) representative row, each open
+    // group keeps only the values FinalizeLevelBatch reads — the level-0
+    // output prefix, or the member key/linked value fed to the enclosing
+    // accumulator.
     std::vector<Value> rep_out;  // level 0: values at output_idx_
     Value rep_member;            // level > 0: value at parent member_key_idx
     Value rep_linked;            // level > 0: value at parent linked_idx
   };
 
-  // Closes level `i`, feeding the member upward or emitting at level 0.
-  // Returns true if an output row was produced (stored in pending_).
-  bool FinalizeLevel(int i);
-
-  // Opens a group at level `i` with `row` as representative.
-  void OpenLevel(int i, const Row& row);
-
-  // Batched equivalents, reading cells of input_ / emitting into `out`.
+  // Closes level `i`, feeding the member upward or emitting into `out` at
+  // level 0.
   void FinalizeLevelBatch(int i, RowBatch* out);
+  // Opens a group at level `i` with row `r` of input_ as representative.
   void OpenLevelBatch(int i, int64_t r);
   // True when level `i`'s group key differs between row `r` of input_ and
   // the previous stream row (row r-1, or prev_keys_ across batches).
@@ -115,18 +111,15 @@ class FusedNestSelectNode final : public ExecNode {
   std::vector<int> output_idx_;  // outermost nesting attrs in flat schema
 
   std::vector<LevelState> levels_;
-  Row prev_row_;
   bool has_prev_ = false;
   bool input_done_ = false;
-  bool pending_valid_ = false;
-  Row pending_;
   std::vector<int64_t> groups_closed_;
 
-  // Batched-consumption state. The innermost level's nesting attributes
-  // contain every level's (§4.2.1 prefix property), so prev_keys_ holds
-  // just those columns' values for the last row of the previous batch;
-  // per-level key compares go through key_slot_ (position of each level
-  // key in the innermost key list).
+  // The innermost level's nesting attributes contain every level's
+  // (§4.2.1 prefix property), so prev_keys_ holds just those columns'
+  // values for the last row of the previous batch; per-level key compares
+  // go through key_slot_ (position of each level key in the innermost key
+  // list).
   RowBatch input_;
   std::vector<Value> prev_keys_;
   std::vector<std::vector<size_t>> key_slot_;

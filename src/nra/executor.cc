@@ -46,8 +46,7 @@ void CountQueryError() {
 
 void MaybeLogSlowQuery(const std::string& sql, double threshold_ms,
                        double total_ms, const NraStats& stats, bool ok,
-                       int num_threads, bool vectorized,
-                       const std::string& session) {
+                       int num_threads, const std::string& session) {
   if (total_ms <= threshold_ms) return;
   telemetry::SlowQueryRecord rec;
   rec.sql = sql;
@@ -56,7 +55,6 @@ void MaybeLogSlowQuery(const std::string& sql, double threshold_ms,
   rec.nest_select_ms = stats.nest_select_seconds * 1e3;
   rec.output_rows = stats.output_rows;
   rec.num_threads = num_threads;
-  rec.vectorized = vectorized;
   rec.ok = ok;
   rec.session = session;
   rec.peak_mem_bytes = stats.peak_mem_bytes;
@@ -196,8 +194,7 @@ Result<Table> NraExecutor::Execute(const QueryBlock& root, NraStats* stats,
       NESTRA_ASSIGN_OR_RETURN(
           Table rel,
           EvalBlockBase(root, catalog_, num_threads_, prof,
-                        options_.vectorized, options_.two_valued,
-                        options_.cost_based));
+                        options_.two_valued, options_.cost_based));
       stats->join_seconds += Seconds(t0);
       stats->intermediate_rows = rel.num_rows();
       return FinishRoot(root, std::move(rel), prof);
@@ -327,7 +324,7 @@ Result<Table> NraExecutor::ExecuteSql(const std::string& sql, NraStats* stats,
 
   if (slow_log) {
     MaybeLogSlowQuery(sql, options_.slow_query_ms, Seconds(sql_start) * 1e3,
-                      *stats, result.ok(), num_threads_, options_.vectorized,
+                      *stats, result.ok(), num_threads_,
                       options_.session_label);
   }
   return result;
@@ -418,7 +415,7 @@ Result<Table> NraExecutor::ExecuteStatementSql(const std::string& sql,
   if (prof != nullptr) prof->output_rows = combined.num_rows();
   if (slow_log) {
     MaybeLogSlowQuery(sql, options_.slow_query_ms, Seconds(sql_start) * 1e3,
-                      total, /*ok=*/true, num_threads_, options_.vectorized,
+                      total, /*ok=*/true, num_threads_,
                       options_.session_label);
   }
   return combined;
@@ -432,8 +429,7 @@ int NraExecutor::AddBaseTask(StageDag* dag, const QueryBlock& block,
         const auto t0 = Clock::now();
         NESTRA_ASSIGN_OR_RETURN(
             *out, EvalBlockBase(block, catalog_, num_threads_, p,
-                                options_.vectorized, options_.two_valued,
-                                options_.cost_based));
+                                options_.two_valued, options_.cost_based));
         s->join_seconds += Seconds(t0);
         return Status::OK();
       });
@@ -447,14 +443,15 @@ Status NraExecutor::OuterJoinChild(const QueryBlock& child,
   if (options_.magic_restriction) {
     StageTimer magic_timer(profile, QueryPhase::kUnnestJoin,
                            "magic[b" + std::to_string(child.id) + "]");
-    NESTRA_ASSIGN_OR_RETURN(base, MagicRestrict(*rel, std::move(base), child));
+    NESTRA_ASSIGN_OR_RETURN(
+        base, MagicRestrict(*rel, std::move(base), child, num_threads_));
     NESTRA_RETURN_NOT_OK(FoldStageMem(&magic_timer, TableBytes(base)));
     magic_timer.Finish(base.num_rows());
   }
   NESTRA_ASSIGN_OR_RETURN(
       *rel, JoinWithChild(std::move(*rel), std::move(base), child,
                           JoinType::kLeftOuter, /*extra_condition=*/nullptr,
-                          num_threads_, profile, options_.vectorized, hints));
+                          num_threads_, profile, hints));
   stats->join_seconds += Seconds(t0);
   // Left-outer joins never shrink the relation, so the running max is the
   // widest intermediate the query materialized.
@@ -532,8 +529,7 @@ Result<Table> NraExecutor::ExecuteFusedLinearDag(
         }
         auto sort = std::make_unique<SortNode>(
             std::make_unique<TableSourceNode>(std::move(rel)),
-            SortKeysFor(levels.back().nesting_attrs), num_threads_,
-            options_.vectorized);
+            SortKeysFor(levels.back().nesting_attrs), num_threads_);
         // Pre-tag the sort subtree as the nest phase: CollectProfiled only
         // fills in still-unattributed nodes, so the fused evaluator itself
         // lands in linking-selection while its sort input counts as nesting
@@ -544,7 +540,7 @@ Result<Table> NraExecutor::ExecuteFusedLinearDag(
         NESTRA_ASSIGN_OR_RETURN(
             Table reduced,
             CollectProfiled(fused.get(), QueryPhase::kLinkingSelection,
-                            "fused nest+select", p, options_.vectorized));
+                            "fused nest+select", p));
         s->nest_select_seconds += Seconds(t0);
         NESTRA_ASSIGN_OR_RETURN(out,
                                 FinishRoot(*chain[0], std::move(reduced), p));
@@ -592,8 +588,7 @@ Result<Table> NraExecutor::ExecuteBottomUpLinearDag(
                 Table joined,
                 JoinWithChild(std::move(outer_base), std::move(cur), child,
                               JoinType::kLeftOuter,
-                              /*extra_condition=*/nullptr, num_threads_, p,
-                              options_.vectorized));
+                              /*extra_condition=*/nullptr, num_threads_, p));
             s->join_seconds += Seconds(t0);
             s->intermediate_rows =
                 std::max(s->intermediate_rows, joined.num_rows());
@@ -653,7 +648,7 @@ Status NraExecutor::ApplyNestSelect(const QueryBlock& node,
   spec.pad_attrs = node.attributes;
   auto sort = std::make_unique<SortNode>(
       std::make_unique<TableSourceNode>(std::move(*rel)),
-      SortKeysFor(retained), num_threads_, options_.vectorized);
+      SortKeysFor(retained), num_threads_);
   sort->SetPhaseRecursive(QueryPhase::kNest);
   std::vector<FusedLevelSpec> levels;
   levels.push_back(std::move(spec));
@@ -662,7 +657,7 @@ Status NraExecutor::ApplyNestSelect(const QueryBlock& node,
   NESTRA_ASSIGN_OR_RETURN(
       *rel, CollectProfiled(fused.get(), QueryPhase::kLinkingSelection,
                             "fused[b" + std::to_string(child.id) + "]",
-                            profile, options_.vectorized));
+                            profile));
   return Status::OK();
 }
 
@@ -713,9 +708,13 @@ int NraExecutor::BuildComputeTaskDag(StageDag* dag, const QueryBlock& node,
                 *rel, JoinWithChild(
                           std::move(*rel), std::move(*base), child,
                           semijoin ? JoinType::kLeftSemi : JoinType::kLeftAnti,
-                          std::move(extra), num_threads_, p,
-                          options_.vectorized, hints));
+                          std::move(extra), num_threads_, p, hints));
             s->join_seconds += Seconds(t0);
+            // The join output is this stage's materialized intermediate;
+            // the running max (as in OuterJoinChild) keeps the paper's
+            // intermediate-size parameter from reading 0 on this path.
+            s->intermediate_rows =
+                std::max(s->intermediate_rows, rel->num_rows());
             return Status::OK();
           });
       continue;
@@ -830,7 +829,7 @@ Result<Table> NraExecutor::FinishRoot(const QueryBlock& root, Table rel,
   // tree queries with negative sibling links): a padded key marks failure.
   return FinalizeRootOutput(root, std::move(rel),
                             /*key_filter_attr=*/root.key_attr, num_threads_,
-                            profile, options_.vectorized);
+                            profile);
 }
 
 }  // namespace nestra

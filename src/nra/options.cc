@@ -19,8 +19,7 @@ std::string NraOptions::ToString() const {
   } else {
     oss << num_threads;
   }
-  oss << ", vectorized=" << (vectorized ? "true" : "false")
-      << ", two_valued=" << (two_valued ? "true" : "false")
+  oss << ", two_valued=" << (two_valued ? "true" : "false")
       << ", cost_based=" << (cost_based ? "true" : "false")
       << ", profile=" << (profile ? "true" : "false")
       << ", verify_plans=" << (verify_plans ? "true" : "false");

@@ -53,15 +53,6 @@ struct NraOptions {
   /// byte-identical for every setting.
   int num_threads = 0;
 
-  /// Vectorized batch execution: operators exchange columnar RowBatches
-  /// (RowBatch::kDefaultCapacity rows) instead of one Row per Next() call
-  /// on the paths with native batch implementations — base-table
-  /// scan+filter, hash-join build/probe, sort drains, and the fused
-  /// nest+linking-selection pass. Row mode (`false`) is the reference
-  /// engine; results, EXPLAIN ANALYZE stage lists, and IoSim totals are
-  /// identical for either setting.
-  bool vectorized = true;
-
   /// Proven-2VL fast path: when the static property analyzer
   /// (src/verify/properties.h) proves a predicate or negative linking
   /// operator can never evaluate to UNKNOWN, skip the 3VL machinery —

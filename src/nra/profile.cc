@@ -44,7 +44,7 @@ void RenderOperator(const ProfiledOperator& op, int depth,
   if (op.stats.batches_out > 0) {
     *oss << " batches=" << op.stats.batches_out;
     // Which of those came through the row-at-a-time adapter (operator has
-    // no native NextBatchImpl) — the vectorized engine's seams.
+    // no native NextBatchImpl) — the batch protocol's seams.
     if (op.stats.adapter_batches > 0) {
       *oss << " (adapter=" << op.stats.adapter_batches << ")";
     }
@@ -441,15 +441,15 @@ Status FoldStageMem(StageTimer* timer, int64_t mem_bytes,
 }
 
 Result<Table> CollectProfiled(ExecNode* node, QueryPhase phase,
-                              const std::string& label, QueryProfile* profile,
-                              bool vectorized) {
+                              const std::string& label,
+                              QueryProfile* profile) {
   StageTimer timer(profile, phase, label);
   if (timer.active()) {
     node->SetPhaseRecursive(phase);
     node->EnableTimingRecursive();
   }
   int64_t out_bytes = 0;
-  Result<Table> result = CollectTable(node, vectorized, &out_bytes);
+  Result<Table> result = CollectTable(node, &out_bytes);
   if (!result.ok()) return result;
   // Always-on memory fold (independent of profiling): the stage footprint
   // is the operators' accounted peaks plus the materialized result. Folded

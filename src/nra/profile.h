@@ -107,13 +107,12 @@ class QueryProfile {
 /// Drains `node` into a table. When `profile` is non-null the node tree is
 /// phase-tagged (pre-tagged subtrees keep their phase), timers are enabled,
 /// and a stage snapshot is appended; when null this is exactly
-/// CollectTable. `vectorized` drains via NextBatch — same rows, and
-/// `batches_out` shows up in the snapshot for batch-native operators.
-/// Independently of the profile, when process telemetry is on the stage
-/// also feeds the global metrics registry and trace sink (see StageTimer).
+/// CollectTable. Independently of the profile, when process telemetry is
+/// on the stage also feeds the global metrics registry and trace sink (see
+/// StageTimer).
 Result<Table> CollectProfiled(ExecNode* node, QueryPhase phase,
-                              const std::string& label, QueryProfile* profile,
-                              bool vectorized = false);
+                              const std::string& label,
+                              QueryProfile* profile);
 
 /// Rolls a drained operator tree's non-deterministic extras (batches,
 /// adapter batches, join build/probe rows, sort rows) into the global

@@ -6,7 +6,6 @@
 #include "common/thread_pool.h"
 #include "exec/distinct.h"
 #include "exec/hash_join.h"
-#include "exec/project.h"
 #include "nested/linking_predicate.h"
 #include "nra/planner.h"
 
@@ -190,22 +189,23 @@ Result<ExprPtr> AntiLinkJoinCondition(const QueryBlock& child) {
 }
 
 Result<Table> MagicRestrict(const Table& outer, Table child_base,
-                            const QueryBlock& child) {
+                            const QueryBlock& child, int num_threads) {
   std::vector<std::string> okeys, ikeys;
   if (!AllEquiCorrelation(child, outer.schema(), child_base.schema(), &okeys,
                           &ikeys)) {
     return child_base;
   }
   // Magic set: the distinct correlation-key combinations of the outer.
-  ExecNodePtr magic = std::make_unique<ProjectNode>(
-      std::make_unique<TableSourceNode>(outer), okeys);
-  magic = std::make_unique<DistinctNode>(std::move(magic));
+  // Only the key columns are copied out of the accumulated relation.
+  NESTRA_ASSIGN_OR_RETURN(Table keys, outer.Project(okeys));
+  ExecNodePtr magic = std::make_unique<DistinctNode>(
+      std::make_unique<TableSourceNode>(std::move(keys)));
 
   std::vector<EquiPair> equi;
   for (size_t i = 0; i < ikeys.size(); ++i) equi.push_back({ikeys[i], okeys[i]});
   HashJoinNode semi(std::make_unique<TableSourceNode>(std::move(child_base)),
                     std::move(magic), JoinType::kLeftSemi, std::move(equi),
-                    nullptr);
+                    nullptr, num_threads);
   return CollectTable(&semi);
 }
 

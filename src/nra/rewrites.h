@@ -86,9 +86,10 @@ Result<ExprPtr> AntiLinkJoinCondition(const QueryBlock& child);
 /// Magic-set restriction: semijoins `child_base` with the distinct
 /// equality-correlation keys of `outer`, discarding inner tuples that
 /// cannot match any outer tuple. Returns the input unchanged when the
-/// child's correlation is not purely equality-based.
+/// child's correlation is not purely equality-based. The semijoin probes
+/// with `num_threads` morsels.
 Result<Table> MagicRestrict(const Table& outer, Table child_base,
-                            const QueryBlock& child);
+                            const QueryBlock& child, int num_threads);
 
 /// True when dropping failing tuples while computing a predicate at the end
 /// of `path` (root..current node) cannot erase information an enclosing

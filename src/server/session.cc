@@ -281,7 +281,6 @@ Result<Table> Session::RunPrepared(Prepared& ps,
       rec.output_rows = stats->output_rows;
       rec.peak_mem_bytes = stats->peak_mem_bytes;
       rec.num_threads = ResolveNumThreads(exec_options.num_threads);
-      rec.vectorized = exec_options.vectorized;
       rec.ok = result.ok();
       rec.session = label_;
       telemetry::LogSlowQuery(rec);

@@ -18,8 +18,8 @@ extern const char* const kPhaseLabels[kNumPhases];
 /// registry lookup. Obtain via Metrics(); handles live forever.
 ///
 /// `deterministic` metrics (see MetricsRegistry) carry counts that are
-/// bit-identical across num_threads and row/vectorized engines for the
-/// same query sequence; timing-, pool- and batch-shaped metrics are not.
+/// bit-identical across num_threads for the same query sequence; timing-,
+/// pool- and batch-shaped metrics are not.
 struct EngineMetrics {
   // Query lifecycle (executor).
   Counter* queries_total;             // det
@@ -69,7 +69,7 @@ struct EngineMetrics {
   Counter* pool_wait_seconds_total;    // non-det
 
   // Operator-tree roll-ups (flushed per stage from OperatorStats).
-  Counter* batches_total;          // non-det (row engine produces none)
+  Counter* batches_total;          // non-det (batch shape)
   Counter* adapter_batches_total;  // non-det
   Counter* join_build_rows_total;  // non-det (fused scan paths skip trees)
   Counter* join_probe_rows_total;  // non-det

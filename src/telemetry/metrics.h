@@ -28,8 +28,8 @@ namespace telemetry {
 ///    take for other reasons).
 ///  * **Deterministic counters.** Metrics register with a `deterministic`
 ///    flag: `true` promises the merged value is identical across
-///    `num_threads` settings and row-vs-vectorized engines for the same
-///    query sequence (rows, queries, IoSim totals). Timings, pool activity
+///    `num_threads` settings for the same query sequence (rows, queries,
+///    IoSim totals). Timings, pool activity
 ///    and batch counts are declared `false`. Tests snapshot only the
 ///    deterministic subset (DeterministicValues) and compare bit-for-bit.
 ///

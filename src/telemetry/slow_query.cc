@@ -62,9 +62,8 @@ std::string SlowQueryJsonLine(const SlowQueryRecord& record) {
       << ",\"nest_select_ms\":" << record.nest_select_ms
       << ",\"rows\":" << record.output_rows
       << ",\"peak_mem_bytes\":" << record.peak_mem_bytes
-      << ",\"threads\":" << record.num_threads << ",\"engine\":\""
-      << (record.vectorized ? "vectorized" : "row") << "\",\"ok\":"
-      << (record.ok ? "true" : "false") << "}";
+      << ",\"threads\":" << record.num_threads
+      << ",\"ok\":" << (record.ok ? "true" : "false") << "}";
   return oss.str();
 }
 

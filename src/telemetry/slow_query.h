@@ -20,7 +20,6 @@ struct SlowQueryRecord {
   /// the query failed before any stage folded.
   int64_t peak_mem_bytes = 0;
   int num_threads = 1;
-  bool vectorized = false;
   bool ok = true;  ///< false when the query errored after the threshold
   /// Session label ("s3") when the query ran through a server Session;
   /// empty for direct library callers (then the JSON omits the field, so
@@ -31,7 +30,7 @@ struct SlowQueryRecord {
 /// The record as one line of structured JSON (no trailing newline):
 /// {"event":"slow_query","session":...,"sql":...,"total_ms":...,
 ///  "join_ms":...,"nest_select_ms":...,"rows":...,"peak_mem_bytes":...,
-///  "threads":...,"engine":"row|vectorized","ok":true}
+///  "threads":...,"ok":true}
 /// `session` appears only when set; every other field is always present.
 /// The line schema is documented for external consumers in bench/README.md
 /// and pinned by tests/telemetry_test.cc.

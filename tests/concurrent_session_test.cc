@@ -218,53 +218,48 @@ TEST(ConcurrentSessionTest, EightSessionsMatchSerialBitForBit) {
   PopulateStressCatalog(&catalog);
   const std::vector<std::string> statements = StressStatements();
 
-  for (const bool vectorized : {false, true}) {
-    for (const int threads : {1, 2, 8}) {
-      ServerOptions options;
-      options.max_in_flight = 4;
-      options.session_defaults.vectorized = vectorized;
-      options.session_defaults.num_threads = threads;
-      const std::string config = std::string("vectorized=") +
-                                 (vectorized ? "true" : "false") +
-                                 " threads=" + std::to_string(threads);
+  for (const int threads : {1, 2, 8}) {
+    ServerOptions options;
+    options.max_in_flight = 4;
+    options.session_defaults.num_threads = threads;
+    const std::string config = "threads=" + std::to_string(threads);
 
-      // Serial baseline: one session, statements in order.
-      ConnectionManager serial_manager(&catalog, options);
-      std::vector<uint64_t> serial_hashes;
-      {
-        std::unique_ptr<Session> session = serial_manager.Connect();
-        for (const std::string& sql : statements) {
-          ASSERT_OK_AND_ASSIGN(Table t, session->Query(sql));
-          serial_hashes.push_back(HashTable(t));
-        }
+    // Serial baseline: one session, statements in order.
+    ConnectionManager serial_manager(&catalog, options);
+    std::vector<uint64_t> serial_hashes;
+    {
+      std::unique_ptr<Session> session = serial_manager.Connect();
+      for (const std::string& sql : statements) {
+        ASSERT_OK_AND_ASSIGN(Table t, session->Query(sql));
+        serial_hashes.push_back(HashTable(t));
       }
-
-      // 8 concurrent sessions, same script each, sharing catalog + pool.
-      ConnectionManager manager(&catalog, options);
-      std::vector<ClientScript> clients(8);
-      for (ClientScript& c : clients) {
-        c.statements = statements;
-        c.repeat = 2;
-      }
-      const HarnessResult result = RunConcurrentClients(manager, clients);
-      ASSERT_EQ(result.errors, 0) << config;
-      ASSERT_EQ(result.total_statements,
-                static_cast<int64_t>(8 * 2 * statements.size()))
-          << config;
-      for (size_t c = 0; c < clients.size(); ++c) {
-        for (size_t i = 0; i < result.per_client[c].size(); ++i) {
-          const HarnessResult::Outcome& out = result.per_client[c][i];
-          ASSERT_TRUE(out.ok) << config << " client " << c << ": " << out.error;
-          EXPECT_EQ(out.hash, serial_hashes[i % statements.size()])
-              << config << " client " << c << " statement " << i << ": "
-              << statements[i % statements.size()];
-        }
-      }
-      EXPECT_LE(manager.admission().peak_in_flight(), 4) << config;
-      EXPECT_EQ(manager.admission().admitted_total(),
-                static_cast<int64_t>(8 * 2 * statements.size()))
-          << config;
     }
+
+    // 8 concurrent sessions, same script each, sharing catalog + pool.
+    ConnectionManager manager(&catalog, options);
+    std::vector<ClientScript> clients(8);
+    for (ClientScript& c : clients) {
+      c.statements = statements;
+      c.repeat = 2;
+    }
+    const HarnessResult result = RunConcurrentClients(manager, clients);
+    ASSERT_EQ(result.errors, 0) << config;
+    ASSERT_EQ(result.total_statements,
+              static_cast<int64_t>(8 * 2 * statements.size()))
+        << config;
+    for (size_t c = 0; c < clients.size(); ++c) {
+      for (size_t i = 0; i < result.per_client[c].size(); ++i) {
+        const HarnessResult::Outcome& out = result.per_client[c][i];
+        ASSERT_TRUE(out.ok) << config << " client " << c << ": " << out.error;
+        EXPECT_EQ(out.hash, serial_hashes[i % statements.size()])
+            << config << " client " << c << " statement " << i << ": "
+            << statements[i % statements.size()];
+      }
+    }
+    EXPECT_LE(manager.admission().peak_in_flight(), 4) << config;
+    EXPECT_EQ(manager.admission().admitted_total(),
+              static_cast<int64_t>(8 * 2 * statements.size()))
+        << config;
   }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "exec/sort.h"
 #include "nested/fused_nest_select.h"
 #include "nested/linking_selection.h"
@@ -159,6 +161,139 @@ TEST(FusedTest, GroupCountersTrackLevels) {
   EXPECT_EQ(out.num_rows(), 1);
   ASSERT_EQ(fused.groups_closed().size(), 1u);
   EXPECT_EQ(fused.groups_closed()[0], 2);
+}
+
+// A flat input over (a, x | b, y | c, z), generated in key order: the outer
+// level nests by (a, x), the inner by (a, x, b, y), and (c, z) are the
+// inner members. Keys include NULLs (they sort first), and y/z carry NULLs
+// so both 3VL predicates go UNKNOWN. The sort feeds the fused evaluator
+// RowBatch::kDefaultCapacity rows per batch; group sizes are clipped so
+// that, at the three batch boundaries, an inner group ends exactly at the
+// first (its outer group continues), an inner group straddles the second,
+// and an outer group ends exactly at the third.
+Table BoundaryInput() {
+  constexpr int64_t kBatch = RowBatch::kDefaultCapacity;
+  Table t = MakeTable({"a", "x", "b", "y", "c", "z"}, {});
+  uint64_t s = 17;
+  const auto next = [&s](int64_t mod) {
+    s = s * 6364136223846793005ULL + 1442695040888963407ULL;
+    return static_cast<int64_t>((s >> 33) % static_cast<uint64_t>(mod));
+  };
+  for (int64_t o = 0; t.num_rows() < 3 * kBatch + 300; ++o) {
+    const Value a = o == 0 ? N() : I(o);
+    const Value x = I(o % 4 + 1);
+    int64_t inner_groups = 1 + next(12);
+    for (int64_t g = 0; g < inner_groups; ++g) {
+      const Value b = g == 0 && o % 3 == 0 ? N() : I(g);
+      const Value y = next(9) == 0 ? N() : I(next(6));
+      const int64_t n = t.num_rows();
+      int64_t size = 1 + next(15);
+      bool end_outer = false;
+      if (n < kBatch && n + size >= kBatch) {
+        size = kBatch - n;
+        inner_groups = std::max(inner_groups, g + 2);
+      } else if (n + size == 2 * kBatch) {
+        ++size;
+      } else if (n < 3 * kBatch && n + size >= 3 * kBatch) {
+        size = 3 * kBatch - n;
+        end_outer = true;
+      }
+      for (int64_t k = 0; k < size; ++k) {
+        const Value c = next(11) == 0 ? N() : I(n + k);
+        const Value z = next(13) == 0 ? N() : I(next(8));
+        t.AppendUnchecked(Row({a, x, b, y, c, z}));
+      }
+      if (end_outer) break;
+    }
+  }
+  return t;
+}
+
+// The batch evaluator carries its open groups across input batches
+// (KeyChangedBatch compares a batch's first row against prev_keys_). A
+// two-level case over more than 2 x RowBatch::kDefaultCapacity rows, with
+// an outer pseudo-selection pad, must match the materialized Nest +
+// LinkingSelect pipeline group for group.
+TEST(FusedTest, TwoLevelsAcrossBatchBoundariesMatchMaterializedPipeline) {
+  const Table input = BoundaryInput();
+  const auto same_key = [&input](int64_t r, int cols) {
+    const Row& prev = input.rows()[static_cast<size_t>(r - 1)];
+    const Row& cur = input.rows()[static_cast<size_t>(r)];
+    for (int c = 0; c < cols; ++c) {
+      if (Value::TotalOrderCompare(prev[c], cur[c]) != 0) return false;
+    }
+    return true;
+  };
+  constexpr int64_t kBatch = RowBatch::kDefaultCapacity;
+  ASSERT_GT(input.num_rows(), 3 * kBatch);
+  EXPECT_TRUE(same_key(kBatch, 2) && !same_key(kBatch, 4));
+  EXPECT_TRUE(same_key(2 * kBatch, 4));
+  EXPECT_FALSE(same_key(3 * kBatch, 2));
+
+  FusedLevelSpec outer;
+  outer.nesting_attrs = {"a", "x"};
+  outer.pred =
+      MakeLinkingPredicate(LinkOp::kAll, CmpOp::kGt, "x", "", "y", "b");
+  outer.mode = SelectionMode::kPseudo;
+  outer.pad_attrs = {"x"};
+  FusedLevelSpec inner;
+  inner.nesting_attrs = {"a", "x", "b", "y"};
+  inner.pred =
+      MakeLinkingPredicate(LinkOp::kNotIn, CmpOp::kEq, "y", "", "z", "c");
+  inner.mode = SelectionMode::kPseudo;
+  const std::vector<FusedLevelSpec> levels = {outer, inner};
+
+  ASSERT_OK_AND_ASSIGN(
+      NestedRelation inner_nested,
+      Nest(input, {"a", "x", "b", "y"}, {"z", "c"}, "g"));
+  ASSERT_OK_AND_ASSIGN(
+      Table inner_selected,
+      LinkingSelect(inner_nested,
+                    MakeLinkingPredicate(LinkOp::kNotIn, CmpOp::kEq, "y", "g",
+                                         "z", "c"),
+                    SelectionMode::kPseudo, {"b", "y"}));
+  ASSERT_OK_AND_ASSIGN(NestedRelation outer_nested,
+                       Nest(inner_selected, {"a", "x"}, {"y", "b"}, "g"));
+  ASSERT_OK_AND_ASSIGN(
+      Table materialized,
+      LinkingSelect(outer_nested,
+                    MakeLinkingPredicate(LinkOp::kAll, CmpOp::kGt, "x", "g",
+                                         "y", "b"),
+                    SelectionMode::kPseudo, {"x"}));
+
+  auto make_fused = [&] {
+    return FusedNestSelectNode(
+        std::make_unique<SortNode>(
+            std::make_unique<TableSourceNode>(input),
+            std::vector<SortKey>{{"a", true}, {"x", true}, {"b", true},
+                                 {"y", true}}),
+        levels);
+  };
+  FusedNestSelectNode fused = make_fused();
+  ASSERT_OK_AND_ASSIGN(Table out, CollectTable(&fused));
+  ExpectTablesEqual(materialized, out);
+  ASSERT_EQ(fused.groups_closed().size(), 2u);
+  EXPECT_EQ(fused.groups_closed()[0], outer_nested.num_tuples());
+  EXPECT_EQ(fused.groups_closed()[1], inner_nested.num_tuples());
+  // Both verdicts and the pad occur, so the comparison is not vacuous.
+  int64_t padded = 0;
+  for (const Row& r : out.rows()) padded += r[1].is_null() ? 1 : 0;
+  EXPECT_GT(padded, 0);
+  EXPECT_LT(padded, out.num_rows());
+
+  // Row pulls are served from the same batch evaluator.
+  FusedNestSelectNode pulled = make_fused();
+  ASSERT_OK(pulled.Open());
+  std::vector<Row> rows;
+  Row row;
+  bool eof = false;
+  while (true) {
+    ASSERT_OK(pulled.Next(&row, &eof));
+    if (eof) break;
+    rows.push_back(std::move(row));
+  }
+  pulled.Close();
+  EXPECT_TRUE(rows == out.rows());
 }
 
 TEST(FusedTest, RejectsNonPrefixLevels) {

@@ -113,9 +113,9 @@ TEST(HashJoinTest, NoEquiPairsIsCrossWithCondition) {
 
 // ---------------------------------------------------------------------------
 // Build-strategy matrix. JoinBuildHints may ask for a perfect (dense) slot
-// range and/or a left-side build; whatever the hints, the thread count or
-// the engine, the join must emit exactly the rows of the default serial
-// row-engine run, in the same order.
+// range and/or a left-side build; whatever the hints or the thread count,
+// the join must emit exactly the rows of the default serial run, in the
+// same order.
 
 // Join inputs with keys spanning [0, key_max] on both sides. Each side has
 // `p.k`/`p.k2` int64 keys (duplicates and NULLs), `p.f` the key as float64
@@ -217,19 +217,19 @@ struct JoinRun {
 Result<JoinRun> RunMatrixJoin(const MatrixInputs& in,
                               const std::vector<EquiPair>& equi,
                               JoinType type, bool residual, int threads,
-                              bool vectorized, const JoinBuildHints& hints) {
+                              const JoinBuildHints& hints) {
   HashJoinNode join(std::make_unique<TableSourceNode>(in.left),
                     std::make_unique<TableSourceNode>(in.right), type, equi,
-                    MatrixResidual(residual), threads, vectorized, hints);
+                    MatrixResidual(residual), threads, hints);
   JoinRun run;
-  NESTRA_ASSIGN_OR_RETURN(run.out, CollectTable(&join, vectorized));
+  NESTRA_ASSIGN_OR_RETURN(run.out, CollectTable(&join));
   run.detail = join.detail();
   run.peak_mem_bytes = join.stats().peak_mem_bytes;
   return run;
 }
 
-// Runs every hint set at each thread count on both engines and expects the
-// rows of `base` (the default-hints serial row run), row for row.
+// Runs every hint set at each thread count and expects the rows of `base`
+// (the default-hints serial run), row for row.
 void ExpectEveryStrategyMatches(const MatrixInputs& in, const EquiCase& eq,
                                 JoinType type, bool residual,
                                 std::initializer_list<int> thread_counts,
@@ -237,22 +237,19 @@ void ExpectEveryStrategyMatches(const MatrixInputs& in, const EquiCase& eq,
                                 const std::string& base_ctx) {
   for (const auto& [hint_name, hints] : MatrixHints(in.key_max)) {
     for (const int threads : thread_counts) {
-      for (const bool vectorized : {false, true}) {
-        const std::string ctx = base_ctx + " hints=" + hint_name +
-                                " threads=" + std::to_string(threads) +
-                                (vectorized ? " vectorized" : " row");
-        ASSERT_OK_AND_ASSIGN(JoinRun run,
-                             RunMatrixJoin(in, eq.equi, type, residual,
-                                           threads, vectorized, hints));
-        ASSERT_TRUE(run.out.schema().Equals(base.out.schema())) << ctx;
-        ASSERT_EQ(run.out.num_rows(), base.out.num_rows()) << ctx;
-        ASSERT_TRUE(run.out.rows() == base.out.rows()) << ctx;
-      }
+      const std::string ctx = base_ctx + " hints=" + hint_name +
+                              " threads=" + std::to_string(threads);
+      ASSERT_OK_AND_ASSIGN(
+          JoinRun run,
+          RunMatrixJoin(in, eq.equi, type, residual, threads, hints));
+      ASSERT_TRUE(run.out.schema().Equals(base.out.schema())) << ctx;
+      ASSERT_EQ(run.out.num_rows(), base.out.num_rows()) << ctx;
+      ASSERT_TRUE(run.out.rows() == base.out.rows()) << ctx;
     }
   }
 }
 
-TEST(HashJoinStrategyTest, EveryStrategyMatchesTheDefaultSerialRowRun) {
+TEST(HashJoinStrategyTest, EveryStrategyMatchesTheDefaultSerialRun) {
   const MatrixInputs in = SmallInputs();
   for (const EquiCase& eq : MatrixEquis()) {
     for (const JoinType type : kAllJoinTypes) {
@@ -260,9 +257,9 @@ TEST(HashJoinStrategyTest, EveryStrategyMatchesTheDefaultSerialRowRun) {
         const std::string ctx = std::string(eq.name) + " " +
                                 JoinTypeToString(type) +
                                 (residual ? " +residual" : "");
-        ASSERT_OK_AND_ASSIGN(
-            JoinRun base, RunMatrixJoin(in, eq.equi, type, residual, 1,
-                                        false, JoinBuildHints{}));
+        ASSERT_OK_AND_ASSIGN(JoinRun base,
+                             RunMatrixJoin(in, eq.equi, type, residual, 1,
+                                           JoinBuildHints{}));
         if (type != JoinType::kLeftAntiNullAware || !eq.build_has_null_key) {
           ASSERT_GT(base.out.num_rows(), 0) << ctx;
         }
@@ -285,7 +282,7 @@ TEST(HashJoinStrategyTest, EveryStrategyMatchesTheDefaultSerialRowRun) {
   }
 }
 
-TEST(HashJoinStrategyTest, SplitMorselsMatchTheDefaultSerialRowRun) {
+TEST(HashJoinStrategyTest, SplitMorselsMatchTheDefaultSerialRun) {
   const MatrixInputs in = MorselSplitInputs();
   const EquiCase eq = MatrixEquis()[0];
   for (const JoinType type : kAllJoinTypes) {
@@ -294,7 +291,7 @@ TEST(HashJoinStrategyTest, SplitMorselsMatchTheDefaultSerialRowRun) {
                               (residual ? " +residual" : "");
       ASSERT_OK_AND_ASSIGN(JoinRun base,
                            RunMatrixJoin(in, eq.equi, type, residual, 1,
-                                         false, JoinBuildHints{}));
+                                         JoinBuildHints{}));
       ExpectEveryStrategyMatches(in, eq, type, residual, {8}, base, ctx);
     }
   }
@@ -307,8 +304,8 @@ TEST(HashJoinStrategyTest, DetailReportsTheTableActuallyBuilt) {
   const std::vector<EquiPair> two_keys = {{"l.k", "r.k"}, {"l.k2", "r.k2"}};
   const auto detail = [&](const std::vector<EquiPair>& equi,
                           const JoinBuildHints& hints) {
-    Result<JoinRun> run = RunMatrixJoin(in, equi, JoinType::kInner, false, 1,
-                                        false, hints);
+    Result<JoinRun> run =
+        RunMatrixJoin(in, equi, JoinType::kInner, false, 1, hints);
     EXPECT_TRUE(run.ok()) << run.status().ToString();
     return run.ok() ? run.ValueOrDie().detail : std::string("<error>");
   };
@@ -323,18 +320,39 @@ TEST(HashJoinStrategyTest, DetailReportsTheTableActuallyBuilt) {
   EXPECT_EQ(detail(two_keys, PerfectHints(0, max, false)), "");
 }
 
-TEST(HashJoinStrategyTest, RowAndVectorizedChargeTheSamePeakAtOneThread) {
-  const MatrixInputs in = SmallInputs();
+// Row pulls (Next) are served from the join's batch evaluator through
+// ExecNode::NextRowFromBatch; they must hand out exactly the batch drain's
+// rows for the streaming probe (1 thread) and the materialized results
+// (parallel probe, mirrored build) alike.
+TEST(HashJoinStrategyTest, RowPullsMatchTheBatchDrain) {
+  const MatrixInputs in = MorselSplitInputs();
   const std::vector<EquiPair> one_key = {{"l.k", "r.k"}};
   for (const auto& [hint_name, hints] : MatrixHints(in.key_max)) {
-    for (const JoinType type : kAllJoinTypes) {
-      const std::string ctx = hint_name + " " + JoinTypeToString(type);
-      ASSERT_OK_AND_ASSIGN(JoinRun row, RunMatrixJoin(in, one_key, type, true,
-                                                      1, false, hints));
-      ASSERT_OK_AND_ASSIGN(JoinRun vec, RunMatrixJoin(in, one_key, type, true,
-                                                      1, true, hints));
-      EXPECT_GT(row.peak_mem_bytes, 0) << ctx;
-      EXPECT_EQ(row.peak_mem_bytes, vec.peak_mem_bytes) << ctx;
+    for (const int threads : {1, 8}) {
+      for (const JoinType type : kAllJoinTypes) {
+        const std::string ctx = hint_name + " threads=" +
+                                std::to_string(threads) + " " +
+                                JoinTypeToString(type);
+        ASSERT_OK_AND_ASSIGN(
+            JoinRun batch,
+            RunMatrixJoin(in, one_key, type, true, threads, hints));
+        HashJoinNode join(std::make_unique<TableSourceNode>(in.left),
+                          std::make_unique<TableSourceNode>(in.right), type,
+                          one_key, MatrixResidual(true), threads, hints);
+        ASSERT_OK(join.Open());
+        std::vector<Row> rows;
+        Row row;
+        bool eof = false;
+        while (true) {
+          ASSERT_OK(join.Next(&row, &eof));
+          if (eof) break;
+          rows.push_back(std::move(row));
+        }
+        join.Close();
+        EXPECT_GT(batch.peak_mem_bytes, 0) << ctx;
+        EXPECT_EQ(join.stats().rows_out, batch.out.num_rows()) << ctx;
+        ASSERT_TRUE(rows == batch.out.rows()) << ctx;
+      }
     }
   }
 }

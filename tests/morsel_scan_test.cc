@@ -2,8 +2,9 @@
 // hand-built ScanNode -> FilterNode pipeline over the same table. That
 // pipeline is the generic node path multi-table blocks still take, so it is
 // an independent reference for every setting the morsel scan folds into one
-// loop: threads {1,2,8}, row / vectorized predicates, the proven-2VL kernel
-// compile on and off over NULL-bearing columns, and zone-map pruning both
+// loop: threads {1,2,8}, compiled kernels and the per-row fallback for a
+// predicate that does not compile, the proven-2VL kernel compile on and off
+// over NULL-bearing columns, and zone-map pruning both
 // firing (tables of at least kMinPruneGranules granules) and not (smaller
 // tables, cost_based off, or predicates no zone can reject).
 //
@@ -95,9 +96,18 @@ class MorselScanTest : public ::testing::Test {
       node = std::make_unique<FilterNode>(std::move(node),
                                           block.local_pred->Clone());
     }
-    Result<Table> out = CollectTable(node.get());
-    EXPECT_TRUE(out.ok()) << out.status().ToString();
-    return out.ok() ? std::move(out).ValueOrDie() : Table();
+    Table out(node->output_schema());
+    Status s = node->Open();
+    Row row;
+    bool eof = false;
+    while (s.ok()) {
+      s = node->Next(&row, &eof);
+      if (!s.ok() || eof) break;
+      out.AppendUnchecked(std::move(row));
+    }
+    node->Close();
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return out;
   }
 
   Catalog catalog_;
@@ -121,37 +131,33 @@ TEST_F(MorselScanTest, RowsMatchScanFilterPipelineEverywhere) {
       ASSERT_NE(block, nullptr);
       const Table want = Reference(*block);
       for (const int threads : {1, 2, 8}) {
-        for (const bool vectorized : {false, true}) {
-          for (const bool two_valued : {false, true}) {
-            for (const bool cost_based : {false, true}) {
-              const std::string context =
-                  std::string(table) + " where " + c.where +
-                  "\nthreads=" + std::to_string(threads) +
-                  " vectorized=" + std::to_string(vectorized) +
-                  " two_valued=" + std::to_string(two_valued) +
-                  " cost_based=" + std::to_string(cost_based);
-              QueryProfile profile;
-              ASSERT_OK_AND_ASSIGN(
-                  Table got,
-                  EvalBlockBase(*block, catalog_, threads, &profile,
-                                vectorized, two_valued, cost_based));
-              ExpectRowExact(want, got, context);
+        for (const bool two_valued : {false, true}) {
+          for (const bool cost_based : {false, true}) {
+            const std::string context =
+                std::string(table) + " where " + c.where +
+                "\nthreads=" + std::to_string(threads) +
+                " two_valued=" + std::to_string(two_valued) +
+                " cost_based=" + std::to_string(cost_based);
+            QueryProfile profile;
+            ASSERT_OK_AND_ASSIGN(Table got,
+                                 EvalBlockBase(*block, catalog_, threads,
+                                               &profile, two_valued,
+                                               cost_based));
+            ExpectRowExact(want, got, context);
 
-              // Pruning fires exactly where the zone map can prove
-              // granules empty, and EXPLAIN reports how many it kept.
-              ASSERT_EQ(profile.stages().size(), 1u) << context;
-              const ProfiledStage& stage = profile.stages()[0];
-              ASSERT_TRUE(stage.has_tree) << context;
-              const bool pruned = cost_based &&
-                                  std::string(table) == "big" &&
-                                  c.kept_on_big >= 0;
-              EXPECT_EQ(stage.tree.detail,
-                        pruned ? "granules=" + std::to_string(c.kept_on_big) +
-                                     "/16"
-                               : "")
-                  << context;
-              EXPECT_EQ(stage.rows_out, want.num_rows()) << context;
-            }
+            // Pruning fires exactly where the zone map can prove
+            // granules empty, and EXPLAIN reports how many it kept.
+            ASSERT_EQ(profile.stages().size(), 1u) << context;
+            const ProfiledStage& stage = profile.stages()[0];
+            ASSERT_TRUE(stage.has_tree) << context;
+            const bool pruned = cost_based && std::string(table) == "big" &&
+                                c.kept_on_big >= 0;
+            EXPECT_EQ(stage.tree.detail,
+                      pruned ? "granules=" + std::to_string(c.kept_on_big) +
+                                   "/16"
+                             : "")
+                << context;
+            EXPECT_EQ(stage.rows_out, want.num_rows()) << context;
           }
         }
       }
@@ -205,31 +211,28 @@ TEST_F(MorselScanTest, SerialIoChargesMatchPerRowReference) {
         const int64_t seq_misses = sim.seq_misses();
         const int64_t random_misses = sim.random_misses();
 
-        for (const bool vectorized : {false, true}) {
-          for (const bool two_valued : {false, true}) {
-            const std::string context =
-                std::string(table_name) + " where " + c.where +
-                "\nvectorized=" + std::to_string(vectorized) +
-                " two_valued=" + std::to_string(two_valued) +
-                " cost_based=" + std::to_string(cost_based);
-            sim.Reset();
-            QueryProfile profile;
-            const Result<Table> got =
-                EvalBlockBase(*block, catalog_, /*num_threads=*/1, &profile,
-                              vectorized, two_valued, cost_based);
-            if (!got.ok()) {
-              IoSim::Install(nullptr);
-              FAIL() << context << ": " << got.status().ToString();
-            }
-            EXPECT_EQ(sim.hits(), hits) << context;
-            EXPECT_EQ(sim.seq_misses(), seq_misses) << context;
-            EXPECT_EQ(sim.random_misses(), random_misses) << context;
-            // The stage attributes exactly the simulator's delta.
-            const ProfiledOperator& op = profile.stages()[0].tree;
-            EXPECT_EQ(op.stats.io_hits, hits) << context;
-            EXPECT_EQ(op.stats.io_seq_misses, seq_misses) << context;
-            EXPECT_EQ(op.stats.io_random_misses, random_misses) << context;
+        for (const bool two_valued : {false, true}) {
+          const std::string context =
+              std::string(table_name) + " where " + c.where +
+              "\ntwo_valued=" + std::to_string(two_valued) +
+              " cost_based=" + std::to_string(cost_based);
+          sim.Reset();
+          QueryProfile profile;
+          const Result<Table> got =
+              EvalBlockBase(*block, catalog_, /*num_threads=*/1, &profile,
+                            two_valued, cost_based);
+          if (!got.ok()) {
+            IoSim::Install(nullptr);
+            FAIL() << context << ": " << got.status().ToString();
           }
+          EXPECT_EQ(sim.hits(), hits) << context;
+          EXPECT_EQ(sim.seq_misses(), seq_misses) << context;
+          EXPECT_EQ(sim.random_misses(), random_misses) << context;
+          // The stage attributes exactly the simulator's delta.
+          const ProfiledOperator& op = profile.stages()[0].tree;
+          EXPECT_EQ(op.stats.io_hits, hits) << context;
+          EXPECT_EQ(op.stats.io_seq_misses, seq_misses) << context;
+          EXPECT_EQ(op.stats.io_random_misses, random_misses) << context;
         }
       }
     }

@@ -1,7 +1,6 @@
 // Determinism and correctness of the stage-DAG executor (DESIGN.md §11):
-// for every query, option set, and engine (row / vectorized), running at
-// threads {2, 8} must produce results ROW-EXACTLY equal to the 1-thread run
-// — same row order, same value representations — with an identical EXPLAIN
+// for every query and option set, running at threads {2, 8} must produce
+// results ROW-EXACTLY equal to the 1-thread run — same row order, same value representations — with an identical EXPLAIN
 // ANALYZE stage list and identical deterministic NraStats. At one thread
 // the DAG runs its tasks inline in creation order (the serial schedule);
 // with more, independent pipelines overlap on the shared pool, which
@@ -95,44 +94,40 @@ void CheckThreadsAgreeWithOracle(const Catalog& catalog,
   Result<Table> expected = oracle.ExecuteSql(sql);
   ASSERT_TRUE(expected.ok()) << sql << ": " << expected.status().ToString();
   for (const auto& [name, base] : OptionVariants()) {
-    for (const bool vectorized : {false, true}) {
-      const std::string config =
-          name + (vectorized ? "/vec" : "/row") + "/threads=";
-      NraOptions opts = base;
-      opts.vectorized = vectorized;
-      opts.profile = true;
-      opts.num_threads = 1;
-      NraExecutor serial_exec(catalog, opts);
-      QueryProfile serial_profile;
-      NraStats serial_stats;
-      Result<Table> serial =
-          serial_exec.ExecuteSql(sql, &serial_stats, &serial_profile);
-      ASSERT_TRUE(serial.ok())
-          << config << "1\n" << sql << ": " << serial.status().ToString();
-      EXPECT_TRUE(Table::BagEquals(*expected, *serial))
-          << config << "1\n" << sql << "\noracle:\n" << expected->ToString()
-          << "nra:\n" << serial->ToString();
+    const std::string config = name + "/threads=";
+    NraOptions opts = base;
+    opts.profile = true;
+    opts.num_threads = 1;
+    NraExecutor serial_exec(catalog, opts);
+    QueryProfile serial_profile;
+    NraStats serial_stats;
+    Result<Table> serial =
+        serial_exec.ExecuteSql(sql, &serial_stats, &serial_profile);
+    ASSERT_TRUE(serial.ok())
+        << config << "1\n" << sql << ": " << serial.status().ToString();
+    EXPECT_TRUE(Table::BagEquals(*expected, *serial))
+        << config << "1\n" << sql << "\noracle:\n" << expected->ToString()
+        << "nra:\n" << serial->ToString();
 
-      for (const int threads : kThreadDegrees) {
-        if (threads == 1) continue;
-        const std::string context =
-            config + std::to_string(threads) + "\n" + sql;
-        opts.num_threads = threads;
-        NraExecutor exec(catalog, opts);
-        QueryProfile profile;
-        NraStats stats;
-        Result<Table> parallel = exec.ExecuteSql(sql, &stats, &profile);
-        ASSERT_TRUE(parallel.ok())
-            << context << ": " << parallel.status().ToString();
+    for (const int threads : kThreadDegrees) {
+      if (threads == 1) continue;
+      const std::string context =
+          config + std::to_string(threads) + "\n" + sql;
+      opts.num_threads = threads;
+      NraExecutor exec(catalog, opts);
+      QueryProfile profile;
+      NraStats stats;
+      Result<Table> parallel = exec.ExecuteSql(sql, &stats, &profile);
+      ASSERT_TRUE(parallel.ok())
+          << context << ": " << parallel.status().ToString();
 
-        ExpectRowExact(*serial, *parallel, context);
-        ExpectSameStages(serial_profile, profile, context);
-        // The deterministic NraStats fields must agree too (timings are
-        // wall-clock and may not).
-        EXPECT_EQ(serial_stats.intermediate_rows, stats.intermediate_rows)
-            << context;
-        EXPECT_EQ(serial_stats.output_rows, stats.output_rows) << context;
-      }
+      ExpectRowExact(*serial, *parallel, context);
+      ExpectSameStages(serial_profile, profile, context);
+      // The deterministic NraStats fields must agree too (timings are
+      // wall-clock and may not).
+      EXPECT_EQ(serial_stats.intermediate_rows, stats.intermediate_rows)
+          << context;
+      EXPECT_EQ(serial_stats.output_rows, stats.output_rows) << context;
     }
   }
 }
@@ -168,6 +163,12 @@ TEST_F(PipelinedTpchTest, Query2aMixed) {
       MakeQuery2(10, 40, 5000, 25, OuterLink::kAny, InnerLink::kNotExists));
 }
 
+TEST_F(PipelinedTpchTest, Query2bNegative) {
+  CheckThreadsAgreeWithOracle(
+      catalog_,
+      MakeQuery2(10, 40, 5000, 25, OuterLink::kAll, InnerLink::kNotExists));
+}
+
 TEST_F(PipelinedTpchTest, Query3aMixed) {
   CheckThreadsAgreeWithOracle(
       catalog_, MakeQuery3(10, 40, 5000, 25, OuterLink::kAll,
@@ -178,6 +179,45 @@ TEST_F(PipelinedTpchTest, Query3bNegative) {
   CheckThreadsAgreeWithOracle(
       catalog_, MakeQuery3(10, 40, 5000, 25, OuterLink::kAll,
                            InnerLink::kNotExists, Query3Variant::kVariantB));
+}
+
+TEST_F(PipelinedTpchTest, Query3cPositive) {
+  CheckThreadsAgreeWithOracle(
+      catalog_, MakeQuery3(10, 40, 5000, 25, OuterLink::kAny,
+                           InnerLink::kExists, Query3Variant::kVariantC));
+}
+
+// Query 1's `> ALL` link over NOT NULL columns runs as the proven-2VL
+// antijoin; that stage's output is the query's widest intermediate, so
+// NraStats::intermediate_rows must report it (the paper's main parameter)
+// rather than 0, at every thread count.
+TEST(PipelinedStatsTest, TwoValuedAntijoinReportsIntermediateRows) {
+  Catalog catalog;
+  TpchConfig config;
+  config.scale = 1;
+  config.declare_not_null = true;
+  ASSERT_OK(PopulateTpch(&catalog, config));
+  const Table* orders = *catalog.GetTable("orders");
+  const Value lo = *ColumnQuantile(*orders, "o_orderdate", 0.2);
+  const Value hi = *ColumnQuantile(*orders, "o_orderdate", 0.8);
+  const std::string sql =
+      MakeQuery1(FormatDate(lo.int64()), FormatDate(hi.int64()));
+  for (const int threads : kThreadDegrees) {
+    NraOptions opts = NraOptions::Optimized();
+    opts.profile = true;
+    opts.num_threads = threads;
+    NraExecutor exec(catalog, opts);
+    QueryProfile profile;
+    NraStats stats;
+    ASSERT_OK(exec.ExecuteSql(sql, &stats, &profile).status());
+    int64_t join_rows = -1;
+    for (const ProfiledStage& stage : profile.stages()) {
+      if (stage.label == "join[b2]") join_rows = stage.rows_out;
+    }
+    ASSERT_GT(join_rows, 0) << "threads=" << threads << "\n"
+                            << profile.ToString();
+    EXPECT_EQ(stats.intermediate_rows, join_rows) << "threads=" << threads;
+  }
 }
 
 // ---------- Fuzzed query corpus ----------
@@ -304,7 +344,7 @@ TEST(PipelineRoleTest, OperatorsReportTheirDocumentedRoles) {
 
   EXPECT_EQ(source()->role(), PipelineRole::kSource);
   EXPECT_EQ(ScanNode(&table, "t").role(), PipelineRole::kSource);
-  EXPECT_EQ(SortNode(source(), {{"a", true}}, 1, false).role(),
+  EXPECT_EQ(SortNode(source(), {{"a", true}}, 1).role(),
             PipelineRole::kBreaker);
   EXPECT_EQ(AggregateNode(source(), {"a"}, {}).role(),
             PipelineRole::kBreaker);

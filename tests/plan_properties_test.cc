@@ -203,8 +203,8 @@ TEST_F(PropertiesTest, NegativeLinkEligibilityRequiresStrictSafePath) {
 
 // Soundness of the static facts against real execution: over the fuzz corpus
 // (biased toward key-column links), any output column the analyzer proves
-// non-NULL for the root block must contain no NULL at runtime — in the row
-// and vectorized engines, serial and parallel.
+// non-NULL for the root block must contain no NULL at runtime, serial and
+// parallel.
 class PropertiesFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PropertiesFuzzTest, ProvenNonNullColumnsNeverYieldNull) {
@@ -220,23 +220,19 @@ TEST_P(PropertiesFuzzTest, ProvenNonNullColumnsNeverYieldNull) {
                          ParseAndBind(sql, catalog));
     const BlockProperties props = analyzer.Analyze(*root);
 
-    for (const bool vectorized : {false, true}) {
-      for (const int threads : {1, 2, 8}) {
-        NraOptions opts = NraOptions::Optimized();
-        opts.vectorized = vectorized;
-        opts.num_threads = threads;
-        NraExecutor exec(catalog, opts);
-        ASSERT_OK_AND_ASSIGN(const Table result, exec.Execute(*root));
-        for (int c = 0; c < result.schema().num_fields(); ++c) {
-          const std::string& name = result.schema().fields()[c].name;
-          if (!props.NonNull(name)) continue;
-          for (const Row& row : result.rows()) {
-            ASSERT_FALSE(row[c].is_null())
-                << name << " proven non-null but NULL at runtime "
-                << "(vectorized=" << vectorized << " threads=" << threads
-                << ")\n"
-                << result.ToString();
-          }
+    for (const int threads : {1, 2, 8}) {
+      NraOptions opts = NraOptions::Optimized();
+      opts.num_threads = threads;
+      NraExecutor exec(catalog, opts);
+      ASSERT_OK_AND_ASSIGN(const Table result, exec.Execute(*root));
+      for (int c = 0; c < result.schema().num_fields(); ++c) {
+        const std::string& name = result.schema().fields()[c].name;
+        if (!props.NonNull(name)) continue;
+        for (const Row& row : result.rows()) {
+          ASSERT_FALSE(row[c].is_null())
+              << name << " proven non-null but NULL at runtime "
+              << "(threads=" << threads << ")\n"
+              << result.ToString();
         }
       }
     }
@@ -245,7 +241,7 @@ TEST_P(PropertiesFuzzTest, ProvenNonNullColumnsNeverYieldNull) {
 
 // The tentpole contract: with the proofs in place, the proven-2VL fast path
 // (antijoin links + null-check-free kernels) returns exactly what the 3VL
-// pipelines return, per engine and thread count.
+// pipelines return, per thread count.
 TEST_P(PropertiesFuzzTest, TwoValuedFastPathMatchesThreeValued) {
   QueryGenerator gen(GetParam(), /*key_links=*/true);
   Catalog catalog;
@@ -254,21 +250,18 @@ TEST_P(PropertiesFuzzTest, TwoValuedFastPathMatchesThreeValued) {
   for (int i = 0; i < 20; ++i) {
     const std::string sql = gen.RandomQuery();
     SCOPED_TRACE(sql);
-    for (const bool vectorized : {false, true}) {
-      for (const int threads : {1, 2, 8}) {
-        NraOptions slow = NraOptions::Optimized();
-        slow.vectorized = vectorized;
-        slow.num_threads = threads;
-        slow.two_valued = false;
-        NraOptions fast = slow;
-        fast.two_valued = true;
+    for (const int threads : {1, 2, 8}) {
+      NraOptions slow = NraOptions::Optimized();
+      slow.num_threads = threads;
+      slow.two_valued = false;
+      NraOptions fast = slow;
+      fast.two_valued = true;
 
-        NraExecutor slow_exec(catalog, slow);
-        NraExecutor fast_exec(catalog, fast);
-        ASSERT_OK_AND_ASSIGN(const Table expected, slow_exec.ExecuteSql(sql));
-        ASSERT_OK_AND_ASSIGN(const Table actual, fast_exec.ExecuteSql(sql));
-        ExpectTablesEqual(expected, actual);
-      }
+      NraExecutor slow_exec(catalog, slow);
+      NraExecutor fast_exec(catalog, fast);
+      ASSERT_OK_AND_ASSIGN(const Table expected, slow_exec.ExecuteSql(sql));
+      ASSERT_OK_AND_ASSIGN(const Table actual, fast_exec.ExecuteSql(sql));
+      ExpectTablesEqual(expected, actual);
     }
   }
 }

@@ -109,7 +109,6 @@ TEST(StatsStressTest, ConcurrentQueriesSurviveStatsInvalidation) {
                           &plausible, c] {
       std::unique_ptr<Session> session = manager.Connect();
       session->options().num_threads = 1 + (c % 2);
-      session->options().vectorized = (c % 2) == 0;
       const std::string name = "q" + std::to_string(c);
       if (!session->Prepare(name, kQuerySql).ok()) {
         failed.store(true);

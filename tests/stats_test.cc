@@ -5,7 +5,7 @@
 // through QueryProfile. The heart of the suite is identity: every
 // cost-based choice is a physical optimization, so results must stay
 // ROW-EXACTLY equal to the cost_based=false plan across num_threads
-// {1, 2, 8} × {row, vectorized} — and the stats-soundness property test
+// {1, 2, 8} — and the stats-soundness property test
 // checks actual per-stage rows never exceed the propagated upper bounds.
 
 #include <gtest/gtest.h>
@@ -256,16 +256,10 @@ TEST(CostDecisionTest, ExplainShowsPerfectStrategyOnlyWhenChosen) {
 
 // ---------- identity: cost-based plans change nothing but speed ----------
 
-struct EngineCombo {
-  int threads;
-  bool vectorized;
-};
+constexpr int kThreadDegrees[] = {1, 2, 8};
 
-constexpr EngineCombo kCombos[] = {
-    {1, false}, {1, true}, {2, false}, {2, true}, {8, false}, {8, true}};
-
-// Runs `sql` with cost_based off (serial row engine) as the reference, then
-// asserts every (threads, engine, cost_based) combination reproduces it
+// Runs `sql` with cost_based off at one thread as the reference, then
+// asserts every (threads, cost_based) combination reproduces it
 // row-exactly.
 void ExpectCostIdentity(const Catalog& catalog, const std::string& sql) {
   NraOptions ref_opts = NraOptions::Optimized();
@@ -274,17 +268,15 @@ void ExpectCostIdentity(const Catalog& catalog, const std::string& sql) {
   NraExecutor ref_exec(catalog, ref_opts);
   ASSERT_OK_AND_ASSIGN(Table reference, ref_exec.ExecuteSql(sql));
 
-  for (const EngineCombo& combo : kCombos) {
+  for (const int threads : kThreadDegrees) {
     for (const bool cost_based : {false, true}) {
       NraOptions opts = NraOptions::Optimized();
       opts.cost_based = cost_based;
-      opts.num_threads = combo.threads;
-      opts.vectorized = combo.vectorized;
+      opts.num_threads = threads;
       NraExecutor exec(catalog, opts);
       ASSERT_OK_AND_ASSIGN(Table got, exec.ExecuteSql(sql));
       ExpectRowExact(reference, got,
-                     sql + "\nthreads=" + std::to_string(combo.threads) +
-                         " vectorized=" + std::to_string(combo.vectorized) +
+                     sql + "\nthreads=" + std::to_string(threads) +
                          " cost_based=" + std::to_string(cost_based));
     }
   }
@@ -361,12 +353,11 @@ TEST_F(ZonePruneTest, PruningSkipsGranulesDeterministically) {
   const telemetry::EngineMetrics& m = telemetry::Metrics();
 
   std::vector<double> pruned_per_combo;
-  for (const EngineCombo& combo : kCombos) {
+  for (const int threads : kThreadDegrees) {
     const double before = m.zone_granules_pruned_total->Value();
     const double scanned_before = m.zone_granules_scanned_total->Value();
     NraOptions opts = NraOptions::Optimized();
-    opts.num_threads = combo.threads;
-    opts.vectorized = combo.vectorized;
+    opts.num_threads = threads;
     NraExecutor exec(catalog_, opts);
     ASSERT_OK_AND_ASSIGN(
         Table got,

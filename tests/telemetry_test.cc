@@ -3,7 +3,7 @@
 // their engine integration contracts —
 //
 //  * deterministic counters are bit-identical across num_threads {1,2,8}
-//    and row-vs-vectorized engines for the same query sequence,
+//    for the same query sequence,
 //  * the trace JSON is well-formed (parsed back here with a tiny JSON
 //    reader) and puts pool-task spans on worker-thread tracks,
 //  * the slow-query log fires strictly above its threshold,
@@ -226,7 +226,7 @@ TEST(MetricsRegistryTest, EmptyRegistryDumpsAreWellFormed) {
 
 // ---------- engine integration: determinism contract ----------
 
-TEST(TelemetryEngineTest, DeterministicCountersAcrossThreadsAndEngines) {
+TEST(TelemetryEngineTest, DeterministicCountersAcrossThreads) {
   TelemetryOffGuard guard;
   Catalog catalog;
   testing_util::QueryGenerator gen(20260807);
@@ -238,33 +238,28 @@ TEST(TelemetryEngineTest, DeterministicCountersAcrossThreadsAndEngines) {
   std::map<std::string, double> baseline;
   std::string baseline_config;
   for (const int threads : {1, 2, 8}) {
-    for (const bool vectorized : {false, true}) {
-      MetricsRegistry::Global().ResetValues();
-      NraOptions options;
-      options.num_threads = threads;
-      options.vectorized = vectorized;
-      NraExecutor exec(catalog, options);
-      for (const std::string& sql : queries) {
-        const Result<Table> result = exec.ExecuteSql(sql);
-        ASSERT_TRUE(result.ok()) << sql << "\n" << result.status().ToString();
-      }
-      const std::map<std::string, double> values =
-          MetricsRegistry::Global().DeterministicValues();
-      const std::string config = "threads=" + std::to_string(threads) +
-                                 " vectorized=" +
-                                 (vectorized ? "true" : "false");
-      if (baseline.empty()) {
-        baseline = values;
-        baseline_config = config;
-        EXPECT_EQ(values.at("nestra_queries_total"),
-                  static_cast<double>(queries.size()));
-        EXPECT_GT(values.at("nestra_rows_out_total"), 0);
-        EXPECT_GT(values.at("nestra_plans_verified_total"), 0);
-        EXPECT_GT(values.at("nestra_phase_stages_total{phase=\"unnest-join\"}"),
-                  0);
-      } else {
-        EXPECT_EQ(values, baseline) << config << " vs " << baseline_config;
-      }
+    MetricsRegistry::Global().ResetValues();
+    NraOptions options;
+    options.num_threads = threads;
+    NraExecutor exec(catalog, options);
+    for (const std::string& sql : queries) {
+      const Result<Table> result = exec.ExecuteSql(sql);
+      ASSERT_TRUE(result.ok()) << sql << "\n" << result.status().ToString();
+    }
+    const std::map<std::string, double> values =
+        MetricsRegistry::Global().DeterministicValues();
+    const std::string config = "threads=" + std::to_string(threads);
+    if (baseline.empty()) {
+      baseline = values;
+      baseline_config = config;
+      EXPECT_EQ(values.at("nestra_queries_total"),
+                static_cast<double>(queries.size()));
+      EXPECT_GT(values.at("nestra_rows_out_total"), 0);
+      EXPECT_GT(values.at("nestra_plans_verified_total"), 0);
+      EXPECT_GT(values.at("nestra_phase_stages_total{phase=\"unnest-join\"}"),
+                0);
+    } else {
+      EXPECT_EQ(values, baseline) << config << " vs " << baseline_config;
     }
   }
 }
@@ -406,7 +401,7 @@ TEST(TelemetryTraceTest, OptionsTracePathInstallsSink) {
 
 // ---------- slow-query log ----------
 
-TEST(TelemetrySlowQueryTest, JsonLineEscapesAndLabelsEngine) {
+TEST(TelemetrySlowQueryTest, JsonLineEscapesSql) {
   telemetry::SlowQueryRecord rec;
   rec.sql = "select \"x\"\nfrom r";
   rec.total_ms = 12.5;
@@ -414,17 +409,12 @@ TEST(TelemetrySlowQueryTest, JsonLineEscapesAndLabelsEngine) {
   rec.nest_select_ms = 3;
   rec.output_rows = 42;
   rec.num_threads = 4;
-  rec.vectorized = true;
   const std::string line = telemetry::SlowQueryJsonLine(rec);
   EXPECT_TRUE(JsonChecker(line).Valid()) << line;
   EXPECT_NE(line.find("\"event\":\"slow_query\""), std::string::npos);
   EXPECT_NE(line.find("\\\"x\\\"\\nfrom"), std::string::npos);
-  EXPECT_NE(line.find("\"engine\":\"vectorized\""), std::string::npos);
   EXPECT_NE(line.find("\"rows\":42"), std::string::npos);
   EXPECT_NE(line.find("\"threads\":4"), std::string::npos);
-  rec.vectorized = false;
-  EXPECT_NE(telemetry::SlowQueryJsonLine(rec).find("\"engine\":\"row\""),
-            std::string::npos);
 }
 
 TEST(TelemetrySlowQueryTest, JsonLineSchemaIsPinned) {
@@ -440,7 +430,6 @@ TEST(TelemetrySlowQueryTest, JsonLineSchemaIsPinned) {
   rec.output_rows = 42;
   rec.peak_mem_bytes = 65536;
   rec.num_threads = 8;
-  rec.vectorized = true;
   rec.ok = true;
   const std::string line = telemetry::SlowQueryJsonLine(rec);
   EXPECT_TRUE(JsonChecker(line).Valid()) << line;
@@ -448,15 +437,14 @@ TEST(TelemetrySlowQueryTest, JsonLineSchemaIsPinned) {
             "{\"event\":\"slow_query\",\"session\":\"s7\",\"sql\":\"SELECT 1\","
             "\"total_ms\":12.500,\"join_ms\":3.250,\"nest_select_ms\":1.125,"
             "\"rows\":42,\"peak_mem_bytes\":65536,\"threads\":8,"
-            "\"engine\":\"vectorized\",\"ok\":true}");
+            "\"ok\":true}");
   // Without a session the field is omitted entirely (not rendered empty),
   // keeping pre-session consumers byte-compatible.
   rec.session.clear();
-  rec.vectorized = false;
   rec.ok = false;
   const std::string anon = telemetry::SlowQueryJsonLine(rec);
   EXPECT_EQ(anon.find("\"session\""), std::string::npos);
-  EXPECT_NE(anon.find("\"engine\":\"row\",\"ok\":false"), std::string::npos);
+  EXPECT_NE(anon.find("\"threads\":8,\"ok\":false"), std::string::npos);
 }
 
 TEST(TelemetrySlowQueryTest, FiresOnlyAboveThreshold) {
@@ -552,7 +540,6 @@ TEST(OperatorStatsTest, ExplainAnalyzeMarksAdapterBatches) {
   testing_util::RegisterPaperRelations(&catalog);
   NraOptions options;
   options.num_threads = 1;
-  options.vectorized = true;
   // DISTINCT has no native batch implementation, so its batches come from
   // the row adapter and the renderer must say so.
   const Result<std::string> text =
