@@ -2,8 +2,6 @@
 
 #include "storage/io_sim.h"
 
-#include "exec/distinct.h"
-#include "exec/project.h"
 #include "nra/planner.h"
 #include "plan/binder.h"
 
@@ -79,6 +77,76 @@ bool FindBTreeProbe(const QueryBlock& block, const Schema& ctx_schema,
   return false;
 }
 
+// T_i = sigma_i(R_i), tuple at a time and through no engine operator, so
+// the engine's compiled predicate kernels and hash-join probes are checked
+// against this result rather than reused by it: a left-deep nested loop
+// over the block's tables in FROM order, each local conjunct checked by a
+// BoundPredicate on the first table (alone, or joined to the tables before
+// it) that binds it. Each table is charged to IoSim as one sequential pass.
+Result<Table> FilterBlockBase(const QueryBlock& block,
+                              const Catalog& catalog) {
+  std::vector<ExprPtr> conjuncts;
+  if (block.local_pred != nullptr) {
+    conjuncts = SplitConjunction(block.local_pred->Clone());
+  }
+  // Moves the conjuncts that bind against `schema` into one predicate.
+  auto take = [&conjuncts](const Schema& schema) -> Result<BoundPredicate> {
+    std::vector<ExprPtr> bound;
+    std::vector<ExprPtr> rest;
+    for (ExprPtr& c : conjuncts) {
+      (ReferencesOnly(*c, schema) ? bound : rest).push_back(std::move(c));
+    }
+    conjuncts = std::move(rest);
+    return BoundPredicate::MakeOwned(MakeAnd(std::move(bound)), schema);
+  };
+  Table rel{Schema()};
+  rel.AppendUnchecked(Row());  // the empty product
+  for (const QueryBlock::TableRef& ref : block.tables) {
+    NESTRA_ASSIGN_OR_RETURN(const Table* table, catalog.GetTable(ref.table));
+    if (IoSim* sim = IoSim::Get()) sim->SeqRange(table, 0, table->num_rows());
+    const Schema schema = ref.alias.empty()
+                              ? table->schema()
+                              : table->schema().Qualify(ref.alias);
+    NESTRA_ASSIGN_OR_RETURN(BoundPredicate local, take(schema));
+    std::vector<const Row*> matching;
+    for (const Row& r : table->rows()) {
+      if (local.Matches(r)) matching.push_back(&r);
+    }
+    Table next{Schema::Concat(rel.schema(), schema)};
+    NESTRA_ASSIGN_OR_RETURN(BoundPredicate joined, take(next.schema()));
+    for (const Row& left : rel.rows()) {
+      for (const Row* right : matching) {
+        Row row = Row::Concat(left, *right);
+        if (joined.Matches(row)) next.AppendUnchecked(std::move(row));
+      }
+    }
+    rel = std::move(next);
+  }
+  if (!conjuncts.empty()) {
+    // Binding reports the column that resolves in none of the tables.
+    NESTRA_RETURN_NOT_OK(
+        BoundPredicate::MakeOwned(MakeAnd(std::move(conjuncts)), rel.schema())
+            .status());
+  }
+  return rel;
+}
+
+// Drains `node` one Next() call at a time, so every operator in it runs its
+// row cursor (a FilterNode its BoundPredicate) rather than a batch kernel.
+Result<Table> DrainRows(ExecNode* node) {
+  NESTRA_RETURN_NOT_OK(node->Open());
+  Table out(node->output_schema());
+  Row row;
+  bool eof = false;
+  while (true) {
+    NESTRA_RETURN_NOT_OK(node->Next(&row, &eof));
+    if (eof) break;
+    out.AppendUnchecked(std::move(row));
+  }
+  node->Close();
+  return out;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<NestedIterationExecutor::BlockRt>>
@@ -130,7 +198,7 @@ NestedIterationExecutor::Prepare(const QueryBlock& block,
         rt->residual,
         BoundPredicate::MakeOwned(MakeAnd(std::move(conjuncts)), combined));
   } else {
-    NESTRA_ASSIGN_OR_RETURN(rt->filtered, EvalBlockBase(block, catalog_));
+    NESTRA_ASSIGN_OR_RETURN(rt->filtered, FilterBlockBase(block, catalog_));
     std::vector<ExprPtr> conjuncts;
     for (const ExprPtr& p : block.correlated_preds) {
       conjuncts.push_back(p->Clone());
@@ -246,7 +314,17 @@ Result<Table> NestedIterationExecutor::Execute(const QueryBlock& root,
     if (qualifies) kept.AppendUnchecked(row);
   }
 
-  return FinalizeRootOutput(root, std::move(kept));
+  // The root's output operators are the engine's, driven by row pulls. The
+  // groups are materialized first: a sort drains its input over batches,
+  // which would run HAVING through the compiled kernels.
+  ExecNodePtr node = std::make_unique<TableSourceNode>(std::move(kept));
+  if (root.IsGrouped()) {
+    const ExecNodePtr grouped = RootGroupPlan(root, std::move(node));
+    NESTRA_ASSIGN_OR_RETURN(Table groups, DrainRows(grouped.get()));
+    node = std::make_unique<TableSourceNode>(std::move(groups));
+  }
+  const ExecNodePtr out = RootOrderPlan(root, std::move(node), 1);
+  return DrainRows(out.get());
 }
 
 Result<Table> NestedIterationExecutor::ExecuteSql(const std::string& sql,

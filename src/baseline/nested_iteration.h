@@ -36,7 +36,10 @@ struct NestedIterStats {
 ///
 /// This executor is also the library's correctness ORACLE: it follows SQL
 /// tuple-iteration semantics with no rewriting whatsoever, so every other
-/// evaluation strategy is property-tested against it.
+/// evaluation strategy is property-tested against it. It evaluates every
+/// predicate by BoundPredicate per row and joins by nested loops, so the
+/// engine's compiled kernels and hash-join probes are checked against it
+/// rather than shared with it.
 class NestedIterationExecutor {
  public:
   explicit NestedIterationExecutor(const Catalog& catalog,

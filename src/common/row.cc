@@ -40,22 +40,6 @@ int Row::CompareOn(const Row& a, const Row& b, const std::vector<int>& keys) {
   return 0;
 }
 
-size_t Row::HashOn(const Row& a, const std::vector<int>& keys) {
-  size_t h = 0xcbf29ce484222325ULL;
-  for (int k : keys) {
-    h ^= a[k].Hash();
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-bool Row::AnyNullOn(const std::vector<int>& keys) const {
-  for (int k : keys) {
-    if (values_[k].is_null()) return true;
-  }
-  return false;
-}
-
 std::string Row::ToString() const {
   std::ostringstream oss;
   oss << "[";

@@ -48,13 +48,6 @@ class Row {
   /// Lexicographic comparison restricted to `keys` column indices.
   static int CompareOn(const Row& a, const Row& b, const std::vector<int>& keys);
 
-  /// Combined hash of the values at `keys` (deep semantics: NULL hashes to a
-  /// fixed value).
-  static size_t HashOn(const Row& a, const std::vector<int>& keys);
-
-  /// True if any of the values at `keys` is NULL.
-  bool AnyNullOn(const std::vector<int>& keys) const;
-
   std::string ToString() const;
 
  private:

@@ -111,17 +111,6 @@ class ColumnVector {
     nulls_.push_back(1);
   }
 
-  /// Typed appends for kernels that already know the storage class. The
-  /// caller must have checked `!generic()` and the column type.
-  void AppendInt64(int64_t v) {
-    ints_.push_back(v);
-    nulls_.push_back(0);
-  }
-  void AppendFloat64(double v) {
-    doubles_.push_back(v);
-    nulls_.push_back(0);
-  }
-
   /// Copies cell `i` of `src` into this column without routing through a
   /// Value when both sides share typed storage (the compaction / join
   /// emission fast path).

@@ -46,8 +46,6 @@ class Schema {
   const Field& field(int i) const { return fields_[i]; }
   const std::vector<Field>& fields() const { return fields_; }
 
-  void AddField(Field f) { fields_.push_back(std::move(f)); }
-
   /// Index of the field with exactly this name, or -1.
   int IndexOfExact(const std::string& name) const;
 

@@ -51,18 +51,6 @@ constexpr bool IsTrue(TriBool a) { return a == TriBool::kTrue; }
 constexpr bool IsFalse(TriBool a) { return a == TriBool::kFalse; }
 constexpr bool IsUnknown(TriBool a) { return a == TriBool::kUnknown; }
 
-constexpr const char* TriBoolToString(TriBool a) {
-  switch (a) {
-    case TriBool::kFalse:
-      return "false";
-    case TriBool::kTrue:
-      return "true";
-    case TriBool::kUnknown:
-      return "unknown";
-  }
-  return "unknown";
-}
-
 }  // namespace nestra
 
 #endif  // NESTRA_COMMON_TRIBOOL_H_

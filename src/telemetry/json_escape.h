@@ -41,12 +41,6 @@ inline void JsonEscapeTo(const std::string& in, std::ostringstream* oss) {
   }
 }
 
-inline std::string JsonEscaped(const std::string& in) {
-  std::ostringstream oss;
-  JsonEscapeTo(in, &oss);
-  return oss.str();
-}
-
 }  // namespace internal
 }  // namespace telemetry
 }  // namespace nestra

@@ -5,18 +5,6 @@
 
 namespace nestra {
 
-const char* NullabilityToString(Nullability n) {
-  switch (n) {
-    case Nullability::kNullable:
-      return "nullable";
-    case Nullability::kNonNull:
-      return "non-null";
-    case Nullability::kAlwaysNull:
-      return "always-null";
-  }
-  return "?";
-}
-
 const char* CardBoundToString(CardBound c) {
   switch (c) {
     case CardBound::kZero:

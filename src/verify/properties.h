@@ -19,8 +19,6 @@ namespace nestra {
 /// IS NOT NULL proves non-NULL.
 enum class Nullability { kNullable, kNonNull, kAlwaysNull };
 
-const char* NullabilityToString(Nullability n);
-
 /// \brief Bound on a block's qualifying-set cardinality: kZero (provably
 /// empty — e.g. a comparison against a NULL literal or type-incomparable
 /// operands is always UNKNOWN), kAtMostOne (a key is pinned by equalities),
