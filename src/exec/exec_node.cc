@@ -166,15 +166,14 @@ void ExecNode::EnableTimingRecursive() {
 }
 
 namespace {
-// Appends the remaining output of an opened node to `rows`, batch by batch.
-// With `take_source` a TableSourceNode hands its rows over in bulk instead:
-// pulling already-materialized rows through a batch would transpose and
-// re-materialize every one (the source cannot be reopened afterwards).
-Status AppendAllRows(ExecNode* node, bool take_source, std::vector<Row>* rows,
+// Appends the remaining output of an opened node to `rows`: in bulk when
+// the node hands over a materialized result (pulling finished rows through
+// a batch would transpose and re-materialize every one), else batch by
+// batch.
+Status AppendAllRows(ExecNode* node, bool one_shot, std::vector<Row>* rows,
                      int64_t* bytes) {
-  auto* source = take_source ? dynamic_cast<TableSourceNode*>(node) : nullptr;
   const size_t before = rows->size();
-  if (source != nullptr && source->TakeAllRows(rows)) {
+  if (node->TakeAllRows(rows, one_shot)) {
     if (bytes != nullptr) {
       for (size_t i = before; i < rows->size(); ++i) {
         *bytes += RowBytes((*rows)[i]);
@@ -199,16 +198,33 @@ Status AppendAllRows(ExecNode* node, bool take_source, std::vector<Row>* rows,
 }  // namespace
 
 Status DrainAllRows(ExecNode* node, std::vector<Row>* rows, int64_t* bytes) {
-  return AppendAllRows(node, /*take_source=*/true, rows, bytes);
+  return AppendAllRows(node, /*one_shot=*/true, rows, bytes);
 }
 
 Result<Table> CollectTable(ExecNode* node, int64_t* bytes) {
   NESTRA_RETURN_NOT_OK(node->Open());
   Table out(node->output_schema());
   NESTRA_RETURN_NOT_OK(
-      AppendAllRows(node, /*take_source=*/false, &out.rows(), bytes));
+      AppendAllRows(node, /*one_shot=*/false, &out.rows(), bytes));
   node->Close();
   return out;
+}
+
+bool TableSourceNode::TakeAllRows(std::vector<Row>* out, bool one_shot) {
+  if (!one_shot || pos_ != 0 || taken_) return false;
+  taken_ = true;
+  stats_.rows_out += table_.num_rows();
+  if (out->empty()) {
+    *out = std::move(table_.rows());
+  } else {
+    for (Row& row : table_.rows()) out->push_back(std::move(row));
+  }
+  table_.rows().clear();
+  // The rows (and their byte charge) now belong to the consumer, which
+  // accounts them through its own drain; releasing here keeps every byte
+  // charged exactly once.
+  ReleaseCharge();
+  return true;
 }
 
 Status TableSourceNode::OpenImpl() {

@@ -93,6 +93,18 @@ class ExecNode {
 
   void Close();
 
+  /// Moves this opened node's not-yet-emitted output into `out` in one
+  /// bulk transfer, as if the caller had drained it (rows_out advances the
+  /// same way; batches_out does not). Returns false, leaving the node
+  /// untouched, when the node holds no materialized output to hand over.
+  /// `one_shot` lets the take leave the node unable to reopen (a
+  /// TableSourceNode's table is then gone); a node whose reopen recomputes
+  /// its output ignores it. Materializing consumers (DrainAllRows,
+  /// CollectTable) use this to skip a Row -> batch -> Row round trip.
+  virtual bool TakeAllRows(std::vector<Row>* /*out*/, bool /*one_shot*/) {
+    return false;
+  }
+
   const OperatorStats& stats() const { return stats_; }
   QueryPhase phase() const { return phase_; }
   void set_phase(QueryPhase phase) { phase_ = phase; }
@@ -142,17 +154,18 @@ class ExecNode {
 
 using ExecNodePtr = std::unique_ptr<ExecNode>;
 
-/// Drains a node (Open/NextBatch*/Close) into a materialized table. When
-/// `bytes` is non-null it accumulates the logical byte footprint
-/// (RowBytes) of the collected rows.
+/// Drains a node (Open/NextBatch*/Close) into a materialized table,
+/// taking a materialized result in bulk through TakeAllRows but never
+/// emptying a TableSourceNode, which stays reopenable. When `bytes` is
+/// non-null it accumulates the logical byte footprint (RowBytes) of the
+/// collected rows.
 Result<Table> CollectTable(ExecNode* node, int64_t* bytes = nullptr);
 
-/// Appends the full output of an already-opened node to `rows`, drained
-/// over NextBatch; a TableSourceNode is drained by moving its rows out in
-/// bulk instead of round-tripping them through a batch. Used by
-/// materializing operators (hash join build/probe, sort). When `bytes` is
-/// non-null it accumulates the logical byte footprint of the rows appended
-/// by this call.
+/// Appends the full output of an already-opened node to `rows`: in bulk
+/// through TakeAllRows (a TableSourceNode then cannot be reopened), else
+/// over NextBatch. Used by materializing operators (hash join build/probe,
+/// sort). When `bytes` is non-null it accumulates the logical byte
+/// footprint of the rows appended by this call.
 Status DrainAllRows(ExecNode* node, std::vector<Row>* rows,
                     int64_t* bytes = nullptr);
 
@@ -166,30 +179,12 @@ class TableSourceNode final : public ExecNode {
   std::string name() const override { return "TableSource"; }
   PipelineRole role() const override { return PipelineRole::kSource; }
 
-  /// Moves the not-yet-emitted rows out in one bulk transfer, as if the
-  /// caller had drained them one call at a time (rows_out advances the
-  /// same way). Returns false — leaving the node untouched — when rows
-  /// were already emitted through Next/NextBatch. One-shot consumers that
-  /// materialize the whole input anyway (hash join build/probe) use this
-  /// to skip a per-row deep copy; afterwards the node cannot be reopened
-  /// (the rows are gone — OpenImpl fails loudly rather than silently
-  /// replaying an emptied table, the stale-stats-on-reopen bug class).
-  bool TakeAllRows(std::vector<Row>* out) {
-    if (pos_ != 0 || taken_) return false;
-    taken_ = true;
-    stats_.rows_out += table_.num_rows();
-    if (out->empty()) {
-      *out = std::move(table_.rows());
-    } else {
-      for (Row& row : table_.rows()) out->push_back(std::move(row));
-    }
-    table_.rows().clear();
-    // The rows (and their byte charge) now belong to the consumer, which
-    // accounts them through its own drain; releasing here keeps every byte
-    // charged exactly once.
-    ReleaseCharge();
-    return true;
-  }
+  /// Moves the table's rows out (only when `one_shot`). Refuses, leaving
+  /// the node untouched, once rows were emitted through Next/NextBatch.
+  /// Afterwards the node cannot be reopened: the rows are gone, so
+  /// OpenImpl fails loudly rather than silently replaying an emptied table
+  /// (the stale-stats-on-reopen bug class).
+  bool TakeAllRows(std::vector<Row>* out, bool one_shot) override;
 
  protected:
   /// Charges the table's logical bytes to the current query tracker (and

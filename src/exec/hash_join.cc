@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 
@@ -104,11 +103,7 @@ Status HashJoinNode::OpenImpl() {
 
   pending_.clear();
   pending_pos_ = 0;
-  left_done_ = false;
-  materialized_ = false;
   probe_count_ = 0;
-  probe_batch_.Clear();
-  probe_pos_ = 0;
 
   if (hints_.build_left) {
     return MirroredBuildProbe();
@@ -125,10 +120,7 @@ Status HashJoinNode::OpenImpl() {
   NESTRA_RETURN_NOT_OK(BuildChains(std::move(rows), right_key_idx_, &null_key));
   build_has_null_key_ =
       std::find(null_key.begin(), null_key.end(), 1) != null_key.end();
-  if (num_threads_ > 1) {
-    NESTRA_RETURN_NOT_OK(ParallelProbe());
-  }
-  return Status::OK();
+  return Probe();
 }
 
 Status HashJoinNode::BuildChains(std::vector<Row> rows,
@@ -308,17 +300,17 @@ bool HashJoinNode::NotInKeeps(bool probe_null) const {
   return build_rows_ == 0 || (!probe_null && !build_has_null_key_);
 }
 
-Status HashJoinNode::ParallelProbe() {
+Status HashJoinNode::Probe() {
   std::vector<Row> probe_rows;
   int64_t probe_bytes = 0;
   NESTRA_RETURN_NOT_OK(DrainAllRows(left_.get(), &probe_rows, &probe_bytes));
   NESTRA_RETURN_NOT_OK(ChargeMem(probe_bytes));
   const int64_t n = static_cast<int64_t>(probe_rows.size());
   probe_count_ = n;
-  left_done_ = true;
 
-  // Per-morsel output slots, concatenated in morsel order: morsels are
-  // contiguous input ranges, so the result equals the serial probe order.
+  // Per-morsel output slots (one at one thread), concatenated in morsel
+  // order: morsels are contiguous input ranges, so the result never
+  // depends on the thread count.
   std::vector<std::vector<Row>> slots(
       static_cast<size_t>(MorselCount(n, num_threads_)));
   ParallelForMorsels(n, num_threads_,
@@ -340,7 +332,6 @@ Status HashJoinNode::ParallelProbe() {
     for (Row& r : s) pending_.push_back(std::move(r));
   }
   pending_pos_ = 0;
-  materialized_ = true;
   // The materialized join result replaces the chains and the probe-side
   // rows as live state: charge it, then return the drained probe rows'
   // bytes (the vector dies with this frame). One RowBytes walk at a fold
@@ -359,9 +350,6 @@ Status HashJoinNode::MirroredBuildProbe() {
   // right arrival order, then stably regrouped by left row, which
   // reproduces the default plan's output — per left row in arrival order,
   // that row's matches in right arrival order — byte for byte.
-  materialized_ = true;
-  left_done_ = true;
-
   // Drain right first, left second — the same child order as the default
   // build+probe, so IoSim sees an identical scan sequence.
   std::vector<Row> right_rows;
@@ -496,7 +484,7 @@ Status HashJoinNode::MirroredBuildProbe() {
       if (emit) pending_.push_back(std::move(table_rows_[si]));
     }
   }
-  // Same hand-over as ParallelProbe: the pending result becomes the live
+  // Same hand-over as Probe: the pending result becomes the live
   // state, the drained inputs die with this frame.
   int64_t pending_bytes = 0;
   for (const Row& r : pending_) pending_bytes += RowBytes(r);
@@ -505,194 +493,31 @@ Status HashJoinNode::MirroredBuildProbe() {
   return charged;
 }
 
-void HashJoinNode::HashProbeBatch() {
-  // One SqlHash key combine per row, column-at-a-time; byte-identical to
-  // SqlKeyHashOn over the materialized row (kFnvOffsetBasis, then per key
-  // column h ^= SqlHash; h *= kFnvPrime).
-  constexpr size_t kNullHash = 0x9e3779b97f4a7c15ULL;
-  constexpr size_t kNumericMix = 0xc4ceb9fe1a85ec53ULL;
-  const size_t n = static_cast<size_t>(probe_batch_.num_rows());
-  if (perfect_built_) {
-    // Dense slots index by value, not hash: only the NULL flags are
-    // needed.
-    probe_hashes_.assign(n, 0);
-    probe_null_.assign(n, 0);
-    for (const int idx : left_key_idx_) {
-      const std::vector<uint8_t>& nulls = probe_batch_.column(idx).nulls();
-      for (size_t i = 0; i < n; ++i) {
-        if (nulls[i] != 0) probe_null_[i] = 1;
-      }
-    }
-    return;
-  }
-  probe_hashes_.assign(n, kFnvOffsetBasis);
-  probe_null_.assign(n, 0);
-  for (const int idx : left_key_idx_) {
-    const ColumnVector& col = probe_batch_.column(idx);
-    const std::vector<uint8_t>& nulls = col.nulls();
-    const bool generic = col.generic();
-    for (size_t i = 0; i < n; ++i) {
-      size_t vh = 0;
-      if (nulls[i] != 0) {
-        probe_null_[i] = 1;
-        vh = kNullHash;
-      } else if (generic) {
-        vh = col.GetValue(static_cast<int64_t>(i)).SqlHash();
-      } else {
-        switch (col.type()) {
-          case TypeId::kInt64:
-          case TypeId::kDate: {
-            const double d = static_cast<double>(col.ints()[i]);
-            vh = std::hash<double>()(d) ^ kNumericMix;
-            break;
-          }
-          case TypeId::kFloat64: {
-            double d = col.doubles()[i];
-            if (d == 0.0) d = 0.0;  // canonicalize -0.0, like SqlHash
-            vh = std::hash<double>()(d) ^ kNumericMix;
-            break;
-          }
-          case TypeId::kString:
-            vh = std::hash<std::string>()(col.strings()[i]);
-            break;
-        }
-      }
-      probe_hashes_[i] ^= vh;
-      probe_hashes_[i] *= kFnvPrime;
-    }
-  }
-}
-
-int64_t HashJoinNode::ProbeBatchRow(int64_t i, RowBatch* out) {
-  const bool probe_null = probe_null_[static_cast<size_t>(i)] != 0;
-  candidates_.clear();
-  if (!probe_null) {
-    scratch_key_.clear();
-    for (const int idx : left_key_idx_) {
-      scratch_key_.push_back(probe_batch_.column(idx).GetValue(i));
-    }
-    GatherCandidates(
-        [this](size_t k) -> const Value& { return scratch_key_[k]; },
-        probe_hashes_[static_cast<size_t>(i)], &candidates_);
-  }
-
-  const int left_width = probe_batch_.num_columns();
-  int64_t emitted = 0;
-  bool matched = false;
-  const bool combining = join_type_ == JoinType::kInner ||
-                         join_type_ == JoinType::kLeftOuter;
-  if (!candidates_.empty()) {
-    if (combining && bound_residual_.always_true()) {
-      // Hot path: no residual — left cells copy typed storage to typed
-      // storage, right cells come straight from the build rows.
-      for (const int32_t j : candidates_) {
-        matched = true;
-        for (int c = 0; c < left_width; ++c) {
-          out->column(c).AppendFrom(probe_batch_.column(c), i);
-        }
-        const Row& right_row = table_rows_[static_cast<size_t>(j)];
-        for (int c = 0; c < right_width_; ++c) {
-          out->column(left_width + c).Append(right_row[c]);
-        }
-        ++emitted;
-      }
-    } else if (combining) {
-      const Row left_row = probe_batch_.MaterializeRow(i);
-      for (const int32_t j : candidates_) {
-        Row combined =
-            Row::Concat(left_row, table_rows_[static_cast<size_t>(j)]);
-        if (!bound_residual_.Matches(combined)) continue;
-        matched = true;
-        NESTRA_DCHECK(combined.size() == schema_.num_fields());
-        for (int c = 0; c < combined.size(); ++c) {
-          out->column(c).Append(std::move(combined[c]));
-        }
-        ++emitted;
-      }
-    } else if (bound_residual_.always_true()) {
-      matched = true;
-    } else {
-      const Row left_row = probe_batch_.MaterializeRow(i);
-      for (const int32_t j : candidates_) {
-        if (bound_residual_.Matches(Row::Concat(
-                left_row, table_rows_[static_cast<size_t>(j)]))) {
-          matched = true;
-          break;
-        }
-      }
-    }
-  }
-
-  // Per-row epilogue, mirroring EmitMatches exactly.
-  bool emit_left_only = false;
-  switch (join_type_) {
-    case JoinType::kInner:
-      break;
-    case JoinType::kLeftSemi:
-      emit_left_only = matched;
-      break;
-    case JoinType::kLeftOuter:
-      if (!matched) {
-        for (int c = 0; c < left_width; ++c) {
-          out->column(c).AppendFrom(probe_batch_.column(c), i);
-        }
-        for (int c = 0; c < right_width_; ++c) {
-          out->column(left_width + c).AppendNull();
-        }
-        ++emitted;
-      }
-      break;
-    case JoinType::kLeftAnti:
-      emit_left_only = !matched;
-      break;
-    case JoinType::kLeftAntiNullAware:
-      emit_left_only = !matched && NotInKeeps(probe_null);
-      break;
-  }
-  if (emit_left_only) {
-    for (int c = 0; c < left_width; ++c) {
-      out->column(c).AppendFrom(probe_batch_.column(c), i);
-    }
-    ++emitted;
-  }
-  return emitted;
-}
-
 Status HashJoinNode::NextBatchImpl(RowBatch* out, bool* eof) {
-  if (materialized_) {
-    // The parallel probe (or mirrored build) already materialized the whole
-    // result; emit it in batch-sized slices.
-    size_t end = pending_pos_ + static_cast<size_t>(RowBatch::kDefaultCapacity);
-    if (end > pending_.size()) end = pending_.size();
-    for (; pending_pos_ < end; ++pending_pos_) {
-      out->AppendRow(std::move(pending_[pending_pos_]));
-    }
-    *eof = out->empty();
-    return Status::OK();
+  // Open already materialized the whole result; emit it in batch-sized
+  // slices.
+  size_t end = pending_pos_ + static_cast<size_t>(RowBatch::kDefaultCapacity);
+  if (end > pending_.size()) end = pending_.size();
+  for (; pending_pos_ < end; ++pending_pos_) {
+    out->AppendRow(std::move(pending_[pending_pos_]));
   }
-  int64_t emitted = 0;
-  while (emitted < RowBatch::kDefaultCapacity) {
-    if (probe_pos_ >= probe_batch_.num_rows()) {
-      if (left_done_) break;
-      bool left_eof = false;
-      NESTRA_RETURN_NOT_OK(left_->NextBatch(&probe_batch_, &left_eof));
-      if (left_eof) {
-        left_done_ = true;
-        break;
-      }
-      probe_pos_ = 0;
-      probe_count_ += probe_batch_.num_rows();
-      HashProbeBatch();
-    }
-    while (probe_pos_ < probe_batch_.num_rows() &&
-           emitted < RowBatch::kDefaultCapacity) {
-      emitted += ProbeBatchRow(probe_pos_, out);
-      ++probe_pos_;
-    }
-  }
-  out->set_num_rows(emitted);
   *eof = out->empty();
   return Status::OK();
+}
+
+bool HashJoinNode::TakeAllRows(std::vector<Row>* out, bool /*one_shot*/) {
+  // The result's charge stays until Close, as it does after a batch drain.
+  stats_.rows_out += static_cast<int64_t>(pending_.size() - pending_pos_);
+  if (out->empty() && pending_pos_ == 0) {
+    out->swap(pending_);
+  } else {
+    for (; pending_pos_ < pending_.size(); ++pending_pos_) {
+      out->push_back(std::move(pending_[pending_pos_]));
+    }
+  }
+  pending_.clear();
+  pending_pos_ = 0;
+  return true;
 }
 
 void HashJoinNode::CloseImpl() {
@@ -702,8 +527,6 @@ void HashJoinNode::CloseImpl() {
   ReleaseMem(charged_mem_);
   pending_.clear();
   table_rows_.clear();
-  candidates_.clear();
-  materialized_ = false;
   left_->Close();
   right_->Close();
 }

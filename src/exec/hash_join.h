@@ -33,23 +33,24 @@ namespace nestra {
 /// nested-loop join's `Value::Apply(kEq)` would.
 ///
 /// One build structure serves every thread count and both build sides:
-/// the drained build rows stay in arrival order, and each table slot
-/// heads an index chain through the rows in arrival order.
-/// A slot is `hash & mask` — or `key - perfect_min` when the perfect hint
-/// holds for every actual build key (a stale hint falls back to hashing).
-/// Keys are hashed in parallel morsels and the chains are linked in one
-/// serial pass, so candidate order — and therefore output order, per probe
-/// row its matches in build arrival order — never depends on the thread
-/// count. At one thread the probe streams the left input batch-at-a-time
-/// with one key-hash array per probe batch; with `num_threads > 1` it
-/// materializes the left input and probes it in row-range morsels whose
-/// outputs are concatenated in morsel order, byte-identical to the
-/// streaming probe.
+/// the drained build rows stay in arrival order, and each table slot heads
+/// an index chain through the rows in arrival order. A slot is
+/// `hash & mask` — or `key - perfect_min` when the perfect hint holds for
+/// every actual build key (a stale hint falls back to hashing). Keys are
+/// hashed in parallel morsels and the chains are linked in one serial
+/// pass. The default build has one probe at every thread count: it
+/// materializes the left input and probes it in row-range morsels (a
+/// single morsel at one thread) whose outputs are concatenated in morsel
+/// order, so candidate order — and therefore output order, per probe row
+/// its matches in build arrival order — never depends on the thread count.
 ///
-/// The build input, and a materialized probe input, drain through
-/// DrainAllRows, which takes a TableSourceNode's rows in bulk: a join
-/// reading such an input from a TableSourceNode runs once, and its reopen
-/// fails with an error status.
+/// Open computes the whole result. A consumer that materializes it anyway
+/// (DrainAllRows, CollectTable) moves it out through TakeAllRows instead of
+/// pulling it through batches.
+///
+/// The build and probe inputs drain through DrainAllRows, which takes a
+/// TableSourceNode's rows in bulk: a join reading such an input from a
+/// TableSourceNode runs once, and its reopen fails with an error status.
 class HashJoinNode final : public ExecNode {
  public:
   /// `hints` carries the planner's cost-based physical strategy
@@ -69,8 +70,8 @@ class HashJoinNode final : public ExecNode {
   /// "perfect", comma separated); empty for the default plan. "perfect"
   /// reports the table actually built, not the hint.
   std::string detail() const override;
-  // The build side is consumed entirely in Open (and probe output begins
-  // only after), which is what pins joins to the breaker role.
+  // Open consumes both inputs and computes the whole result, which is what
+  // pins joins to the breaker role.
   PipelineRole role() const override { return PipelineRole::kBreaker; }
   std::vector<ExecNode*> children() const override {
     return {left_.get(), right_.get()};
@@ -78,6 +79,10 @@ class HashJoinNode final : public ExecNode {
 
   /// Number of probe-side rows processed so far (for bench counters).
   int64_t probe_count() const { return probe_count_; }
+
+  /// Moves the not-yet-emitted result rows out. Always succeeds on an
+  /// opened join and never costs a reopen, which recomputes the result.
+  bool TakeAllRows(std::vector<Row>* out, bool one_shot) override;
 
  protected:
   Status OpenImpl() override;
@@ -107,8 +112,8 @@ class HashJoinNode final : public ExecNode {
   template <typename KeyAt>
   void GatherCandidates(const KeyAt& key_at, size_t h,
                         std::vector<int32_t>* out) const;
-  // Emits every output row produced by one probe row of a ParallelProbe
-  // morsel; `candidates` is the morsel's scratch. Thread-safe.
+  // Emits every output row produced by one probe row of a Probe morsel;
+  // `candidates` is the morsel's scratch. Thread-safe.
   void ProbeRow(const Row& left_row, std::vector<int32_t>* candidates,
                 std::vector<Row>* out) const;
   // The per-probe-row epilogue over gathered candidates: matches in
@@ -118,18 +123,13 @@ class HashJoinNode final : public ExecNode {
                    std::vector<Row>* out) const;
   // NOT IN keep rule for a probe row with no residual-passing match.
   bool NotInKeeps(bool probe_null) const;
-  // Materializes the left input and probes it with row-range morsels.
-  Status ParallelProbe();
+  // Materializes the left input and probes it with row-range morsels;
+  // fills pending_ with the whole result.
+  Status Probe();
   // hints_.build_left: builds the table over the left input instead and
   // streams the right past it, re-emitting in left order; fills pending_
   // with the whole result (byte-identical to the default build).
   Status MirroredBuildProbe();
-  // Fills probe_hashes_ / probe_null_ for the current probe batch, one
-  // SqlHash key combine per row, column-at-a-time.
-  void HashProbeBatch();
-  // Probes row `i` of probe_batch_, appending outputs to `out` columns
-  // (without touching the batch row count); returns rows appended.
-  int64_t ProbeBatchRow(int64_t i, RowBatch* out);
   // Accounts `bytes` of build/probe state against OperatorStats and the
   // current query tracker (ResourceExhausted past the soft limit); called
   // at serial fold points only, never inside morsel workers.
@@ -168,26 +168,14 @@ class HashJoinNode final : public ExecNode {
   std::vector<int32_t> next_;
   size_t mask_ = 0;
   bool perfect_built_ = false;
-  // Candidate scratch of the streaming probe.
-  std::vector<int32_t> candidates_;
 
-  // Probe state: when materialized_ is set (parallel probe or mirrored
-  // build; left_done_ is then already set) pending_ holds the whole join
-  // result, emitted from pending_pos_ on.
+  // The whole join result, filled by Open (Probe or MirroredBuildProbe)
+  // and emitted from pending_pos_ on.
   std::vector<Row> pending_;
   size_t pending_pos_ = 0;
-  bool left_done_ = false;
-  bool materialized_ = false;
   int64_t probe_count_ = 0;
   // Bytes currently charged to the query tracker (released in CloseImpl).
   int64_t charged_mem_ = 0;
-
-  // Streaming-probe state.
-  RowBatch probe_batch_;
-  std::vector<size_t> probe_hashes_;
-  std::vector<uint8_t> probe_null_;
-  int64_t probe_pos_ = 0;
-  std::vector<Value> scratch_key_;
 };
 
 }  // namespace nestra

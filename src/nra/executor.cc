@@ -441,12 +441,8 @@ Status NraExecutor::OuterJoinChild(const QueryBlock& child,
                                    QueryProfile* profile) {
   const auto t0 = Clock::now();
   if (options_.magic_restriction) {
-    StageTimer magic_timer(profile, QueryPhase::kUnnestJoin,
-                           "magic[b" + std::to_string(child.id) + "]");
-    NESTRA_ASSIGN_OR_RETURN(
-        base, MagicRestrict(*rel, std::move(base), child, num_threads_));
-    NESTRA_RETURN_NOT_OK(FoldStageMem(&magic_timer, TableBytes(base)));
-    magic_timer.Finish(base.num_rows());
+    NESTRA_ASSIGN_OR_RETURN(base, MagicRestrict(*rel, std::move(base), child,
+                                                num_threads_, profile));
   }
   NESTRA_ASSIGN_OR_RETURN(
       *rel, JoinWithChild(std::move(*rel), std::move(base), child,

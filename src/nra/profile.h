@@ -36,7 +36,7 @@ struct ProfiledOperator {
 
 /// \brief One executor stage: either an operator tree drained by
 /// CollectProfiled (has_tree), or a table-function stage (Nest,
-/// LinkingSelect, HashLinkSelect, MagicRestrict) described only by its
+/// LinkingSelect, HashLinkSelect) described only by its
 /// label, phase, wall time and output cardinality.
 struct ProfiledStage {
   std::string label;

@@ -8,6 +8,7 @@
 #include "exec/hash_join.h"
 #include "nested/linking_predicate.h"
 #include "nra/planner.h"
+#include "nra/profile.h"
 
 namespace nestra {
 
@@ -189,7 +190,8 @@ Result<ExprPtr> AntiLinkJoinCondition(const QueryBlock& child) {
 }
 
 Result<Table> MagicRestrict(const Table& outer, Table child_base,
-                            const QueryBlock& child, int num_threads) {
+                            const QueryBlock& child, int num_threads,
+                            QueryProfile* profile) {
   std::vector<std::string> okeys, ikeys;
   if (!AllEquiCorrelation(child, outer.schema(), child_base.schema(), &okeys,
                           &ikeys)) {
@@ -206,7 +208,8 @@ Result<Table> MagicRestrict(const Table& outer, Table child_base,
   HashJoinNode semi(std::make_unique<TableSourceNode>(std::move(child_base)),
                     std::move(magic), JoinType::kLeftSemi, std::move(equi),
                     nullptr, num_threads);
-  return CollectTable(&semi);
+  return CollectProfiled(&semi, QueryPhase::kUnnestJoin,
+                         "magic[b" + std::to_string(child.id) + "]", profile);
 }
 
 bool StrictSafe(const std::vector<const QueryBlock*>& path) {

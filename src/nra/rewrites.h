@@ -12,6 +12,8 @@
 
 namespace nestra {
 
+class QueryProfile;
+
 /// \brief THE decision point for the proven-2VL antijoin rewrite: true when
 /// the executor runs `child`'s negative link as a plain antijoin instead of
 /// nest + pseudo-selection. Every consumer — NraExecutor's DAG builders,
@@ -86,10 +88,13 @@ Result<ExprPtr> AntiLinkJoinCondition(const QueryBlock& child);
 /// Magic-set restriction: semijoins `child_base` with the distinct
 /// equality-correlation keys of `outer`, discarding inner tuples that
 /// cannot match any outer tuple. Returns the input unchanged when the
-/// child's correlation is not purely equality-based. The semijoin probes
-/// with `num_threads` morsels.
+/// child's correlation is not purely equality-based (no stage runs then).
+/// The semijoin probes with `num_threads` morsels and drains through
+/// CollectProfiled as stage `magic[bN]`, so its build, chains and result
+/// reach the query peak and EXPLAIN ANALYZE.
 Result<Table> MagicRestrict(const Table& outer, Table child_base,
-                            const QueryBlock& child, int num_threads);
+                            const QueryBlock& child, int num_threads,
+                            QueryProfile* profile);
 
 /// True when dropping failing tuples while computing a predicate at the end
 /// of `path` (root..current node) cannot erase information an enclosing

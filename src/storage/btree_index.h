@@ -33,9 +33,7 @@ class BTreeIndex {
 
   void Insert(const Value& key, int64_t row_id);
 
-  /// Row ids whose key satisfies `key-of-row  op  probe`... more precisely:
-  /// rows r with `value(r) op probe` is NOT the contract — like SortedIndex,
-  /// Lookup returns rows r whose value v satisfies `v op key` for
+  /// Row ids of the rows r whose value v satisfies `v op key` for
   /// op in {=, <, <=, >, >=, <>}. NULL probes match nothing.
   std::vector<int64_t> Lookup(CmpOp op, const Value& key) const;
 

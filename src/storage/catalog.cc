@@ -159,25 +159,6 @@ Result<const HashIndex*> Catalog::GetHashIndex(const std::string& table_name,
   return const_cast<const HashIndex*>(it->second.get());
 }
 
-Result<const SortedIndex*> Catalog::GetSortedIndex(
-    const std::string& table_name, const std::string& column) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  NESTRA_ASSIGN_OR_RETURN(Entry * e, GetEntryLocked(table_name));
-  std::lock_guard<std::mutex> index_lock(e->index_mu);
-  auto it = e->sorted_indexes.find(column);
-  if (it == e->sorted_indexes.end()) {
-    const int col = e->table.schema().IndexOfExact(column);
-    if (col < 0) {
-      return Status::NotFound("column '" + column + "' not in table " +
-                              table_name);
-    }
-    it = e->sorted_indexes
-             .emplace(column, std::make_unique<SortedIndex>(e->table, col))
-             .first;
-  }
-  return const_cast<const SortedIndex*>(it->second.get());
-}
-
 Result<const BTreeIndex*> Catalog::GetBTreeIndex(
     const std::string& table_name, const std::string& column) const {
   std::shared_lock<std::shared_mutex> lock(mu_);

@@ -14,7 +14,6 @@
 #include "common/table.h"
 #include "storage/btree_index.h"
 #include "storage/hash_index.h"
-#include "storage/sorted_index.h"
 #include "storage/table_stats.h"
 
 namespace nestra {
@@ -106,10 +105,6 @@ class Catalog {
   Result<const HashIndex*> GetHashIndex(const std::string& table_name,
                                         const std::string& column) const;
 
-  /// Returns (building and caching on first use) an ordered index.
-  Result<const SortedIndex*> GetSortedIndex(const std::string& table_name,
-                                            const std::string& column) const;
-
   /// Returns (building and caching on first use) a B+-tree index — the
   /// structure the modelled System A keeps on base tables; serves ordered
   /// and inequality probes with per-level simulated I/O.
@@ -141,7 +136,6 @@ class Catalog {
     // and builds via const methods are safe from concurrent queries.
     mutable std::mutex index_mu;
     std::map<std::string, std::unique_ptr<HashIndex>> hash_indexes;
-    std::map<std::string, std::unique_ptr<SortedIndex>> sorted_indexes;
     std::map<std::string, std::unique_ptr<BTreeIndex>> btree_indexes;
   };
 

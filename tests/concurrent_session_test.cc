@@ -116,7 +116,6 @@ TEST(CatalogConcurrencyTest, ConcurrentIndexBuildsReturnOneIndex) {
 
   constexpr int kThreads = 8;
   std::vector<const HashIndex*> hash_seen(kThreads, nullptr);
-  std::vector<const SortedIndex*> sorted_seen(kThreads, nullptr);
   std::vector<std::thread> threads;
   for (int i = 0; i < kThreads; ++i) {
     threads.emplace_back([&, i] {
@@ -124,15 +123,11 @@ TEST(CatalogConcurrencyTest, ConcurrentIndexBuildsReturnOneIndex) {
       const Result<const HashIndex*> h = catalog.GetHashIndex("big", "v");
       ASSERT_TRUE(h.ok());
       hash_seen[i] = *h;
-      const Result<const SortedIndex*> s = catalog.GetSortedIndex("big", "v");
-      ASSERT_TRUE(s.ok());
-      sorted_seen[i] = *s;
     });
   }
   for (std::thread& th : threads) th.join();
   for (int i = 1; i < kThreads; ++i) {
     EXPECT_EQ(hash_seen[i], hash_seen[0]) << "thread " << i;
-    EXPECT_EQ(sorted_seen[i], sorted_seen[0]) << "thread " << i;
   }
 }
 

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "exec/hash_join.h"
-#include "exec/index_join.h"
 #include "exec/nested_loop_join.h"
 #include "exec/scan.h"
 #include "test_util.h"
@@ -385,41 +384,6 @@ TEST(NestedLoopJoinTest, LeftOuterCrossPadsOnEmptyRight) {
   ASSERT_OK_AND_ASSIGN(Table out, CollectTable(&nlj));
   ASSERT_EQ(out.num_rows(), 1);
   EXPECT_TRUE(out.rows()[0][1].is_null());
-}
-
-TEST(IndexJoinTest, SemiProbesIndex) {
-  const Table right = MakeTable({"k", "w"}, {{I(1), I(7)}, {I(2), I(8)}});
-  const HashIndex index(right, 0);
-  auto l = std::make_unique<TableSourceNode>(
-      MakeTable({"l.k"}, {{I(1)}, {I(3)}, {N()}}));
-  IndexJoinNode join(std::move(l), &right, "r", &index, "l.k",
-                     JoinType::kLeftSemi, nullptr);
-  ASSERT_OK_AND_ASSIGN(Table out, CollectTable(&join));
-  ExpectTablesEqual(MakeTable({"l.k"}, {{I(1)}}), out);
-  EXPECT_EQ(join.probe_count(), 3);
-}
-
-TEST(IndexJoinTest, LeftOuterWithResidual) {
-  const Table right = MakeTable({"k", "w"}, {{I(1), I(7)}, {I(1), I(9)}});
-  const HashIndex index(right, 0);
-  auto l = std::make_unique<TableSourceNode>(MakeTable({"l.k"}, {{I(1)}}));
-  IndexJoinNode join(std::move(l), &right, "r", &index, "l.k",
-                     JoinType::kLeftOuter,
-                     Cmp(CmpOp::kGt, Col("r.w"), LitInt(8)));
-  ASSERT_OK_AND_ASSIGN(Table out, CollectTable(&join));
-  ASSERT_EQ(out.num_rows(), 1);
-  EXPECT_EQ(out.rows()[0][2], I(9));
-}
-
-TEST(IndexJoinTest, AntiJoin) {
-  const Table right = MakeTable({"k"}, {{I(1)}});
-  const HashIndex index(right, 0);
-  auto l = std::make_unique<TableSourceNode>(
-      MakeTable({"l.k"}, {{I(1)}, {I(2)}}));
-  IndexJoinNode join(std::move(l), &right, "r", &index, "l.k",
-                     JoinType::kLeftAnti, nullptr);
-  ASSERT_OK_AND_ASSIGN(Table out, CollectTable(&join));
-  ExpectTablesEqual(MakeTable({"l.k"}, {{I(2)}}), out);
 }
 
 }  // namespace

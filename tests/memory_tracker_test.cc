@@ -4,8 +4,9 @@
 //    soft limit, the session/process roll-up, the TLS installers;
 //  * accounted logical bytes are a proven lower bound for what the
 //    materialized containers actually hold live at spot-check points;
-//  * the reported query peak is run-to-run deterministic at fixed
-//    (threads, options), for threads {1,2,8};
+//  * the reported query peak is run-to-run deterministic at fixed options
+//    and equal across threads {1,2,8};
+//  * the magic-set semijoin stage accounts its own build and result;
 //  * EXPLAIN ANALYZE shows per-stage mem=/peak= for hash join, sort, and
 //    nest stages, and those numbers match the profile JSON;
 //  * with the limit off, accounting changes no observable behavior; with a
@@ -18,6 +19,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/date.h"
@@ -184,29 +186,75 @@ class MemoryTpchTest : public ::testing::Test {
     return MakeQuery1(FormatDate(lo.int64()), FormatDate(hi.int64()));
   }
 
+  static std::string Query2aSql() {
+    return MakeQuery2(10, 40, 5000, 25, OuterLink::kAny,
+                      InnerLink::kNotExists);
+  }
+
   Catalog catalog_;
 };
 
+// One probe and one hand-off at every thread count: the reported peak is
+// run-to-run deterministic and the same at threads {1,2,8}.
 TEST_F(MemoryTpchTest, PeakIsRunToRunDeterministic) {
-  const std::string sql = Query1Sql();
-  for (const int threads : {1, 2, 8}) {
-    NraOptions opts;
-    opts.num_threads = threads;
-    int64_t ref_peak = -1;
-    for (int run = 0; run < 3; ++run) {
-      NraExecutor exec(catalog_, opts);
-      NraStats stats;
-      ASSERT_OK_AND_ASSIGN(Table result, exec.ExecuteSql(sql, &stats));
-      ASSERT_GT(result.num_rows(), 0);
-      EXPECT_GT(stats.peak_mem_bytes, 0) << "threads=" << threads;
-      if (run == 0) {
-        ref_peak = stats.peak_mem_bytes;
+  const std::vector<std::pair<std::string, std::string>> queries = {
+      {"Q1", Query1Sql()},
+      {"Q2a", Query2aSql()},
+      {"Q3b", MakeQuery3(10, 40, 5000, 25, OuterLink::kAll,
+                         InnerLink::kNotExists, Query3Variant::kVariantB)},
+  };
+  for (const auto& [name, sql] : queries) {
+    int64_t one_thread_peak = -1;
+    for (const int threads : {1, 2, 8}) {
+      NraOptions opts;
+      opts.num_threads = threads;
+      int64_t ref_peak = -1;
+      for (int run = 0; run < 3; ++run) {
+        NraExecutor exec(catalog_, opts);
+        NraStats stats;
+        ASSERT_OK_AND_ASSIGN(Table result, exec.ExecuteSql(sql, &stats));
+        ASSERT_GT(result.num_rows(), 0) << name;
+        EXPECT_GT(stats.peak_mem_bytes, 0) << name << " threads=" << threads;
+        if (run == 0) {
+          ref_peak = stats.peak_mem_bytes;
+        } else {
+          EXPECT_EQ(stats.peak_mem_bytes, ref_peak)
+              << name << " threads=" << threads << " run=" << run;
+        }
+      }
+      if (threads == 1) {
+        one_thread_peak = ref_peak;
       } else {
-        EXPECT_EQ(stats.peak_mem_bytes, ref_peak)
-            << "threads=" << threads << " run=" << run;
+        EXPECT_EQ(ref_peak, one_thread_peak)
+            << name << " threads=" << threads << " vs threads=1";
       }
     }
   }
+}
+
+// The magic-set semijoin is a profiled stage: its build, chains and result
+// reach the stage peak and EXPLAIN ANALYZE shows its operator tree.
+TEST_F(MemoryTpchTest, MagicStageAccountsItsSemijoin) {
+  NraOptions opts;
+  opts.magic_restriction = true;
+  opts.profile = true;
+  NraExecutor exec(catalog_, opts);
+  QueryProfile profile;
+  NraStats stats;
+  ASSERT_OK_AND_ASSIGN(Table result,
+                       exec.ExecuteSql(Query2aSql(), &stats, &profile));
+  ASSERT_GT(result.num_rows(), 0);
+  int magic_stages = 0;
+  for (const ProfiledStage& stage : profile.stages()) {
+    if (stage.label.rfind("magic[", 0) != 0) continue;
+    ++magic_stages;
+    EXPECT_GT(stage.mem_bytes, 0) << stage.label;
+    EXPECT_GT(stage.peak_mem_bytes, stage.mem_bytes) << stage.label;
+    EXPECT_LE(stage.peak_mem_bytes, stats.peak_mem_bytes) << stage.label;
+    ASSERT_TRUE(stage.has_tree) << stage.label;
+    EXPECT_EQ(stage.tree.name, "HashJoin[LeftSemi]") << stage.label;
+  }
+  EXPECT_GT(magic_stages, 0) << profile.ToString();
 }
 
 TEST_F(MemoryTpchTest, ExplainAnalyzeShowsPerStageMemMatchingJson) {

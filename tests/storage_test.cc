@@ -73,28 +73,5 @@ TEST(CatalogTest, IndexCaching) {
   EXPECT_FALSE(cat.GetHashIndex("t", "zz").ok());
 }
 
-TEST(SortedIndexTest, RangeProbes) {
-  const Table t = MakeTable(
-      {"k"}, {{I(5)}, {I(1)}, {I(3)}, {I(3)}, {N()}, {I(9)}});
-  const SortedIndex idx(t, 0);
-  EXPECT_EQ(idx.num_entries(), 5);  // NULL excluded
-  EXPECT_EQ(idx.Lookup(CmpOp::kEq, I(3)).size(), 2u);
-  EXPECT_EQ(idx.Lookup(CmpOp::kLt, I(3)).size(), 1u);
-  EXPECT_EQ(idx.Lookup(CmpOp::kLe, I(3)).size(), 3u);
-  EXPECT_EQ(idx.Lookup(CmpOp::kGt, I(3)).size(), 2u);
-  EXPECT_EQ(idx.Lookup(CmpOp::kGe, I(3)).size(), 4u);
-  EXPECT_EQ(idx.Lookup(CmpOp::kNe, I(3)).size(), 3u);
-  EXPECT_EQ(idx.Lookup(CmpOp::kEq, N()).size(), 0u);
-}
-
-TEST(SortedIndexTest, RangeBounds) {
-  const Table t = MakeTable({"k"}, {{I(1)}, {I(2)}, {I(3)}, {I(4)}});
-  const SortedIndex idx(t, 0);
-  EXPECT_EQ(idx.Range(I(2), true, I(3), true).size(), 2u);
-  EXPECT_EQ(idx.Range(I(2), false, I(3), true).size(), 1u);
-  EXPECT_EQ(idx.Range(N(), true, I(2), false).size(), 1u);  // open low bound
-  EXPECT_EQ(idx.Range(I(4), false, N(), true).size(), 0u);
-}
-
 }  // namespace
 }  // namespace nestra

@@ -51,6 +51,14 @@ compiler cannot enforce:
    is a hand-mirrored copy of a plan decision that will drift. (src/ only;
    tests may call the gates directly to pin their behavior.)
 
+7. One algorithm per operator at every thread count: no
+   `num_threads(_) > 1` / `<= 1` / `== 1` branch in src/exec, src/nested
+   or src/nra. Operators run the same morsel loop with a single morsel at
+   one thread, so results, peaks and stats never depend on the thread
+   count. Allowed: the stage scheduler's inline mode (src/nra/pipeline.cc)
+   and EXPLAIN's display of the thread count (src/nra/explain.cc).
+   Comments are not checked.
+
 Exit status is the number of violations (0 = clean).
 """
 
@@ -262,13 +270,46 @@ def check_cost_decision_consolidation():
     return violations
 
 
+# Thread-count forks: an operator that picks its algorithm by thread count
+# runs (and must be verified as) two operators.
+THREAD_FORK_PATTERN = re.compile(r"\bnum_threads_? *(>|<=|==) *1\b")
+THREAD_FORK_DIRS = ("src/exec", "src/nested", "src/nra")
+THREAD_FORK_ALLOWLIST = {
+    "src/nra/pipeline.cc",  # the stage scheduler's inline (serial) mode
+    "src/nra/explain.cc",   # displays the thread count
+}
+
+
+def check_thread_count_forks():
+    violations = []
+    for top in THREAD_FORK_DIRS:
+        for path in sorted((REPO / top).rglob("*")):
+            if path.suffix not in (".cc", ".h"):
+                continue
+            rel = path.relative_to(REPO).as_posix()
+            if rel in THREAD_FORK_ALLOWLIST:
+                continue
+            for lineno, line in enumerate(path.read_text().splitlines(),
+                                          start=1):
+                code = line.split("//", 1)[0]
+                if THREAD_FORK_PATTERN.search(code):
+                    violations.append(
+                        f"{rel}:{lineno}: thread-count branch; run the one "
+                        f"morsel loop (a single morsel at one thread) "
+                        f"instead of a per-thread-count algorithm: "
+                        f"{line.strip()}"
+                    )
+    return violations
+
+
 def main():
     violations = []
     for check in (check_hot_path_purity, check_rule_ids,
                   check_test_registration,
                   check_plan_decision_consolidation,
                   check_catalog_mutation_layer,
-                  check_cost_decision_consolidation):
+                  check_cost_decision_consolidation,
+                  check_thread_count_forks):
         violations.extend(check())
     for v in violations:
         print(f"lint: {v}", file=sys.stderr)
