@@ -288,6 +288,7 @@ Result<TriBool> NestedIterationExecutor::EvalLink(const BlockRt& child,
                                   : Value::Null());
     if (acc.Decided()) break;
   }
+  NESTRA_RETURN_NOT_OK(acc.status());
   return acc.Result();
 }
 

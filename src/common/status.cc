@@ -24,6 +24,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "Internal error";
     case StatusCode::kResourceExhausted:
       return "Resource exhausted";
+    case StatusCode::kOutOfRange:
+      return "Out of range";
   }
   return "Unknown";
 }

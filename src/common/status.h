@@ -23,6 +23,7 @@ enum class StatusCode {
   kNotImplemented,
   kInternal,
   kResourceExhausted,
+  kOutOfRange,
 };
 
 /// \brief Returns a human-readable name for a status code ("OK",
@@ -68,6 +69,10 @@ class Status {
   }
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
+  }
+  /// A value outside its type's range (SQL's "numeric value out of range").
+  static Status OutOfRange(std::string msg) {
+    return Status(StatusCode::kOutOfRange, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -96,11 +96,14 @@ Status AggregateNode::OpenImpl() {
   pos_ = 0;
   if (group_by_.empty() && input_rows == 0) {
     // Scalar aggregate over empty input still yields one row.
-    results_.push_back(Finalize({}, std::vector<AggState>(aggs_.size())));
+    NESTRA_ASSIGN_OR_RETURN(
+        Row row, Finalize({}, std::vector<AggState>(aggs_.size())));
+    results_.push_back(std::move(row));
   } else {
     results_.reserve(groups.size());
     for (const auto& [key, states] : groups) {
-      results_.push_back(Finalize(key, states));
+      NESTRA_ASSIGN_OR_RETURN(Row row, Finalize(key, states));
+      results_.push_back(std::move(row));
     }
     // Deterministic output order for tests.
     std::sort(results_.begin(), results_.end(),
@@ -126,12 +129,13 @@ void AggregateNode::Accumulate(std::vector<AggState>* states,
         ++st.count;
         break;
       case AggFunc::kSum:
-      case AggFunc::kAvg: {
         ++st.count;
-        if (!v.is_int()) st.sum_is_int = false;
-        st.sum += v.AsDouble().value_or(0);
+        st.sum.Add(v);
         break;
-      }
+      case AggFunc::kAvg:
+        ++st.count;
+        st.avg_sum += v.AsDouble().value_or(0);
+        break;
       case AggFunc::kMin: {
         if (st.extreme.is_null() ||
             Value::TotalOrderCompare(v, st.extreme) < 0) {
@@ -150,8 +154,8 @@ void AggregateNode::Accumulate(std::vector<AggState>* states,
   }
 }
 
-Row AggregateNode::Finalize(const std::vector<Value>& key,
-                            const std::vector<AggState>& states) const {
+Result<Row> AggregateNode::Finalize(const std::vector<Value>& key,
+                                    const std::vector<AggState>& states) const {
   Row out;
   out.Reserve(key.size() + states.size());
   for (const Value& k : key) out.Append(k);
@@ -165,15 +169,14 @@ Row AggregateNode::Finalize(const std::vector<Value>& key,
       case AggFunc::kSum:
         if (st.count == 0) {
           out.Append(Value::Null());
-        } else if (st.sum_is_int) {
-          out.Append(Value::Int64(static_cast<int64_t>(st.sum)));
         } else {
-          out.Append(Value::Float64(st.sum));
+          NESTRA_ASSIGN_OR_RETURN(Value sum, st.sum.Finish());
+          out.Append(std::move(sum));
         }
         break;
       case AggFunc::kAvg:
         out.Append(st.count == 0 ? Value::Null()
-                                 : Value::Float64(st.sum / st.count));
+                                 : Value::Float64(st.avg_sum / st.count));
         break;
       case AggFunc::kMin:
       case AggFunc::kMax:

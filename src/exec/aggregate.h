@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/exact_sum.h"
 #include "common/hash_key.h"
 #include "exec/exec_node.h"
 
@@ -48,14 +49,15 @@ class AggregateNode final : public ExecNode {
  private:
   struct AggState {
     int64_t count = 0;        // rows (kCountStar) or non-null inputs
-    double sum = 0;           // numeric running sum
-    bool sum_is_int = true;   // emit int64 when all inputs were ints
+    ExactSum sum;             // SUM's running sum
+    double avg_sum = 0;       // AVG's running sum
     Value extreme;            // running MIN/MAX (NULL until first input)
   };
 
   void Accumulate(std::vector<AggState>* states, const Row& row) const;
-  Row Finalize(const std::vector<Value>& key,
-               const std::vector<AggState>& states) const;
+  // Fails with OutOfRange when an integer SUM left the int64 range.
+  Result<Row> Finalize(const std::vector<Value>& key,
+                       const std::vector<AggState>& states) const;
 
   ExecNodePtr child_;
   std::vector<std::string> group_by_;

@@ -171,9 +171,11 @@ namespace {
 // a batch would transpose and re-materialize every one), else batch by
 // batch.
 Status AppendAllRows(ExecNode* node, bool one_shot, std::vector<Row>* rows,
-                     int64_t* bytes) {
+                     int64_t* bytes, bool* taken = nullptr) {
   const size_t before = rows->size();
-  if (node->TakeAllRows(rows, one_shot)) {
+  const bool took = node->TakeAllRows(rows, one_shot);
+  if (taken != nullptr) *taken = took;
+  if (took) {
     if (bytes != nullptr) {
       for (size_t i = before; i < rows->size(); ++i) {
         *bytes += RowBytes((*rows)[i]);
@@ -201,11 +203,12 @@ Status DrainAllRows(ExecNode* node, std::vector<Row>* rows, int64_t* bytes) {
   return AppendAllRows(node, /*one_shot=*/true, rows, bytes);
 }
 
-Result<Table> CollectTable(ExecNode* node, int64_t* bytes) {
+Result<Table> CollectTable(ExecNode* node, int64_t* bytes,
+                           bool* handed_over) {
   NESTRA_RETURN_NOT_OK(node->Open());
   Table out(node->output_schema());
-  NESTRA_RETURN_NOT_OK(
-      AppendAllRows(node, /*one_shot=*/false, &out.rows(), bytes));
+  NESTRA_RETURN_NOT_OK(AppendAllRows(node, /*one_shot=*/false, &out.rows(),
+                                     bytes, handed_over));
   node->Close();
   return out;
 }
@@ -221,9 +224,10 @@ bool TableSourceNode::TakeAllRows(std::vector<Row>* out, bool one_shot) {
   }
   table_.rows().clear();
   // The rows (and their byte charge) now belong to the consumer, which
-  // accounts them through its own drain; releasing here keeps every byte
-  // charged exactly once.
+  // accounts them through its own drain; releasing here, and reporting no
+  // peak, keeps every byte charged and folded exactly once.
   ReleaseCharge();
+  stats_.peak_mem_bytes = 0;
   return true;
 }
 

@@ -158,8 +158,10 @@ using ExecNodePtr = std::unique_ptr<ExecNode>;
 /// taking a materialized result in bulk through TakeAllRows but never
 /// emptying a TableSourceNode, which stays reopenable. When `bytes` is
 /// non-null it accumulates the logical byte footprint (RowBytes) of the
-/// collected rows.
-Result<Table> CollectTable(ExecNode* node, int64_t* bytes = nullptr);
+/// collected rows; `handed_over`, when non-null, reports whether the rows
+/// came through TakeAllRows (they are then the node's own charged state).
+Result<Table> CollectTable(ExecNode* node, int64_t* bytes = nullptr,
+                           bool* handed_over = nullptr);
 
 /// Appends the full output of an already-opened node to `rows`: in bulk
 /// through TakeAllRows (a TableSourceNode then cannot be reopened), else

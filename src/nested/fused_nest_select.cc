@@ -106,6 +106,9 @@ Status FusedNestSelectNode::OpenImpl() {
   }
   has_prev_ = false;
   input_done_ = false;
+#ifndef NDEBUG
+  closed_keys_.assign(levels_.size(), {});
+#endif
 
   // Map each level's key columns to their position in the innermost key
   // list (a superset of every level's keys, per the containment check
@@ -124,9 +127,29 @@ Status FusedNestSelectNode::OpenImpl() {
   return Status::OK();
 }
 
+#ifndef NDEBUG
+bool FusedNestSelectNode::KeyLess::operator()(
+    const std::vector<Value>& a, const std::vector<Value>& b) const {
+  for (size_t k = 0; k < a.size() && k < b.size(); ++k) {
+    const int c = Value::TotalOrderCompare(a[k], b[k]);
+    if (c != 0) return c < 0;
+  }
+  return a.size() < b.size();
+}
+#endif
+
 void FusedNestSelectNode::OpenLevelBatch(int i, int64_t r) {
   LevelState& st = levels_[i];
   st.open = true;
+#ifndef NDEBUG
+  st.open_key.clear();
+  for (const int k : st.key_idx) {
+    st.open_key.push_back(input_.column(k).GetValue(r));
+  }
+  // A key that already closed reopens only when its rows were not
+  // contiguous: the input was not grouped by this level's attributes.
+  NESTRA_DCHECK(closed_keys_[i].count(st.open_key) == 0);
+#endif
   st.acc.Reset(st.linking_idx >= 0 ? input_.column(st.linking_idx).GetValue(r)
                                    : specs_[i].pred.linking_const);
   if (i == 0) {
@@ -143,26 +166,33 @@ void FusedNestSelectNode::OpenLevelBatch(int i, int64_t r) {
                       : Value::Null();
 }
 
-void FusedNestSelectNode::FinalizeLevelBatch(int i, RowBatch* out) {
+Status FusedNestSelectNode::FinalizeLevelBatch(int i, RowBatch* out) {
   LevelState& st = levels_[i];
   st.open = false;
   ++groups_closed_[i];
+#ifndef NDEBUG
+  closed_keys_[i].insert(std::move(st.open_key));
+#endif
+  NESTRA_RETURN_NOT_OK(st.acc.status());
   const TriBool r = st.acc.Result();
   if (i == 0) {
     const bool pass = IsTrue(r);
-    if (!pass && specs_[0].mode != SelectionMode::kPseudo) return;
+    if (!pass && specs_[0].mode != SelectionMode::kPseudo) {
+      return Status::OK();
+    }
     Row row(std::vector<Value>(st.rep_out.begin(), st.rep_out.end()));
     if (!pass) {
       for (const int k : st.pad_idx) row[k] = Value::Null();
     }
     out->AppendRow(std::move(row));
-    return;
+    return Status::OK();
   }
   // Contribute a member to the enclosing level. The member's key and linked
   // values are this group's constants, kept from its representative row; a
   // failing group contributes nothing (see class comment).
   LevelState& parent = levels_[i - 1];
   if (IsTrue(r)) parent.acc.Add(st.rep_member, st.rep_linked);
+  return Status::OK();
 }
 
 bool FusedNestSelectNode::KeyChangedBatch(int i, int64_t r) const {
@@ -186,7 +216,7 @@ bool FusedNestSelectNode::KeyChangedBatch(int i, int64_t r) const {
   return false;
 }
 
-void FusedNestSelectNode::ProcessBatchRow(int64_t r, RowBatch* out) {
+Status FusedNestSelectNode::ProcessBatchRow(int64_t r, RowBatch* out) {
   const int m = static_cast<int>(levels_.size());
   if (!has_prev_) {
     for (int i = 0; i < m; ++i) OpenLevelBatch(i, r);
@@ -200,7 +230,9 @@ void FusedNestSelectNode::ProcessBatchRow(int64_t r, RowBatch* out) {
       }
     }
     if (boundary < m) {
-      for (int i = m - 1; i >= boundary; --i) FinalizeLevelBatch(i, out);
+      for (int i = m - 1; i >= boundary; --i) {
+        NESTRA_RETURN_NOT_OK(FinalizeLevelBatch(i, out));
+      }
       for (int i = boundary; i < m; ++i) OpenLevelBatch(i, r);
     }
   }
@@ -209,6 +241,7 @@ void FusedNestSelectNode::ProcessBatchRow(int64_t r, RowBatch* out) {
                 inner.linked_idx >= 0
                     ? input_.column(inner.linked_idx).GetValue(r)
                     : Value::Null());
+  return Status::OK();
 }
 
 Status FusedNestSelectNode::NextBatchImpl(RowBatch* out, bool* eof) {
@@ -220,12 +253,16 @@ Status FusedNestSelectNode::NextBatchImpl(RowBatch* out, bool* eof) {
     if (child_eof) {
       input_done_ = true;
       if (has_prev_) {
-        for (int i = m - 1; i >= 0; --i) FinalizeLevelBatch(i, out);
+        for (int i = m - 1; i >= 0; --i) {
+          NESTRA_RETURN_NOT_OK(FinalizeLevelBatch(i, out));
+        }
       }
       break;
     }
     const int64_t n = input_.num_rows();
-    for (int64_t r = 0; r < n; ++r) ProcessBatchRow(r, out);
+    for (int64_t r = 0; r < n; ++r) {
+      NESTRA_RETURN_NOT_OK(ProcessBatchRow(r, out));
+    }
     // Boundary state for the next batch's first row.
     const LevelState& inner = levels_[m - 1];
     prev_keys_.clear();

@@ -1,6 +1,7 @@
 #ifndef NESTRA_NESTED_FUSED_NEST_SELECT_H_
 #define NESTRA_NESTED_FUSED_NEST_SELECT_H_
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -14,7 +15,9 @@ namespace nestra {
 /// outermost first; each level's `nesting_attrs` must be a superset of the
 /// previous level's (the paper's observation that "higher levels nest by a
 /// prefix of the nesting attributes used by lower levels", §4.2.1), and the
-/// input stream must be sorted by the innermost level's nesting attributes.
+/// input stream must be grouped (contiguous) by every level's nesting
+/// attributes — sorted by the innermost level's, or delivered grouped by
+/// the outer-join chain (FusedChainGroupedByJoin, nra/cost.h).
 ///
 /// The linking predicate's attribute names all refer to columns of the flat
 /// input schema: `linking_attr` must be functionally determined by this
@@ -33,11 +36,15 @@ struct FusedLevelSpec {
   std::vector<std::string> pad_attrs;
 };
 
-/// \brief The optimized nested relational evaluator: all nest operations in
-/// a single (external) sort, then one streaming pass that pipelines every
-/// nest with its linking selection (§4.2.1 + §4.2.2).
+/// \brief The optimized nested relational evaluator: one streaming pass
+/// that pipelines every nest with its linking selection (§4.2.1 + §4.2.2)
+/// over an input grouped (contiguous) by every level's nesting attributes.
+/// The paper forms those groups with a single sort; a left-outer join chain
+/// that already delivers them contiguously needs none.
 ///
-/// Group boundaries are detected by key-prefix change; when an inner group
+/// Group boundaries are detected by key-prefix change, so a group whose
+/// rows are not contiguous would be split in two: debug builds check that
+/// no closed group key reappears at any level. When an inner group
 /// closes, its predicate result decides whether the group contributes a
 /// member to the enclosing level:
 ///  * result TRUE  -> contributes (member key, linked value) read from the
@@ -54,7 +61,8 @@ struct FusedLevelSpec {
 /// predicate is TRUE. Output schema = outermost nesting attributes.
 class FusedNestSelectNode final : public ExecNode {
  public:
-  /// `child` must produce rows sorted by `levels.back().nesting_attrs`.
+  /// `child` must produce rows grouped (contiguous) by every level's
+  /// `nesting_attrs`.
   FusedNestSelectNode(ExecNodePtr child, std::vector<FusedLevelSpec> levels);
 
   const Schema& output_schema() const override { return schema_; }
@@ -93,17 +101,32 @@ class FusedNestSelectNode final : public ExecNode {
     std::vector<Value> rep_out;  // level 0: values at output_idx_
     Value rep_member;            // level > 0: value at parent member_key_idx
     Value rep_linked;            // level > 0: value at parent linked_idx
+#ifndef NDEBUG
+    std::vector<Value> open_key;  // the open group's key, for closed_keys_
+#endif
   };
 
+#ifndef NDEBUG
+  // Total order over group keys, for the contiguity check.
+  struct KeyLess {
+    bool operator()(const std::vector<Value>& a,
+                    const std::vector<Value>& b) const;
+  };
+  // Per level, every group key closed so far: a key that opens again means
+  // the input was not grouped.
+  std::vector<std::set<std::vector<Value>, KeyLess>> closed_keys_;
+#endif
+
   // Closes level `i`, feeding the member upward or emitting into `out` at
-  // level 0.
-  void FinalizeLevelBatch(int i, RowBatch* out);
+  // level 0. Fails when the level's linking predicate could not be
+  // evaluated (an integer SUM out of range).
+  Status FinalizeLevelBatch(int i, RowBatch* out);
   // Opens a group at level `i` with row `r` of input_ as representative.
   void OpenLevelBatch(int i, int64_t r);
   // True when level `i`'s group key differs between row `r` of input_ and
   // the previous stream row (row r-1, or prev_keys_ across batches).
   bool KeyChangedBatch(int i, int64_t r) const;
-  void ProcessBatchRow(int64_t r, RowBatch* out);
+  Status ProcessBatchRow(int64_t r, RowBatch* out);
 
   ExecNodePtr child_;
   std::vector<FusedLevelSpec> specs_;

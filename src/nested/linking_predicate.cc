@@ -173,7 +173,7 @@ Result<BoundLinkingPredicate> BoundLinkingPredicate::Make(
   return out;
 }
 
-TriBool BoundLinkingPredicate::Eval(const NestedTuple& tuple) const {
+Result<TriBool> BoundLinkingPredicate::Eval(const NestedTuple& tuple) const {
   LinkingAccumulator acc(pred);
   acc.Reset(linking_idx >= 0 ? tuple.atoms[linking_idx]
                              : pred.linking_const);
@@ -182,6 +182,7 @@ TriBool BoundLinkingPredicate::Eval(const NestedTuple& tuple) const {
             linked_idx >= 0 ? m.atoms[linked_idx] : Value::Null());
     if (acc.Decided()) break;
   }
+  NESTRA_RETURN_NOT_OK(acc.status());
   return acc.Result();
 }
 
@@ -195,8 +196,8 @@ void LinkingAccumulator::Reset(const Value& linking_value) {
   acc_ = quant_ == Quantifier::kAll ? TriBool::kTrue : TriBool::kFalse;
   member_count_ = 0;
   agg_inputs_ = 0;
-  sum_ = 0;
-  sum_is_int_ = true;
+  sum_ = ExactSum();
+  avg_sum_ = 0;
   extreme_ = Value::Null();
 }
 
@@ -221,9 +222,10 @@ void LinkingAccumulator::Add(const Value& key, const Value& linked) {
         case LinkAgg::kCountStar:
           break;
         case LinkAgg::kSum:
+          sum_.Add(linked);
+          break;
         case LinkAgg::kAvg:
-          if (!linked.is_int()) sum_is_int_ = false;
-          sum_ += linked.AsDouble().value_or(0);
+          avg_sum_ += linked.AsDouble().value_or(0);
           break;
         case LinkAgg::kMin:
           if (extreme_.is_null() ||
@@ -261,20 +263,19 @@ TriBool LinkingAccumulator::Result() const {
         case LinkAgg::kCount:
           agg_value = Value::Int64(agg_inputs_);
           break;
-        case LinkAgg::kSum:
-          if (agg_inputs_ == 0) {
-            agg_value = Value::Null();
-          } else if (sum_is_int_) {
-            agg_value = Value::Int64(static_cast<int64_t>(sum_));
-          } else {
-            agg_value = Value::Float64(sum_);
-          }
+        case LinkAgg::kSum: {
+          if (agg_inputs_ == 0) break;  // NULL
+          // (`auto`: inside this class, `Result` names the member function.)
+          const auto sum = sum_.Finish();
+          if (!sum.ok()) return TriBool::kUnknown;  // status() reports it
+          agg_value = sum.ValueOrDie();
           break;
+        }
         case LinkAgg::kAvg:
           agg_value = agg_inputs_ == 0
                           ? Value::Null()
-                          : Value::Float64(sum_ / static_cast<double>(
-                                                      agg_inputs_));
+                          : Value::Float64(avg_sum_ / static_cast<double>(
+                                                          agg_inputs_));
           break;
         case LinkAgg::kMin:
         case LinkAgg::kMax:
@@ -285,6 +286,14 @@ TriBool LinkingAccumulator::Result() const {
     }
   }
   return TriBool::kUnknown;
+}
+
+Status LinkingAccumulator::status() const {
+  if (kind_ == LinkingPredicate::Kind::kAggregate && agg_ == LinkAgg::kSum &&
+      agg_inputs_ > 0) {
+    return sum_.Finish().status();
+  }
+  return Status::OK();
 }
 
 bool LinkingAccumulator::Decided() const {

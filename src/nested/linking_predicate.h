@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/exact_sum.h"
 #include "common/status.h"
 #include "common/tribool.h"
 #include "common/value.h"
@@ -101,7 +102,8 @@ struct BoundLinkingPredicate {
   ///  * SOME over the empty set is False, ALL over the empty set is True;
   ///  * a NULL on either side of a member comparison contributes Unknown;
   ///  * EXISTS / NOT EXISTS are two-valued on the member count.
-  TriBool Eval(const NestedTuple& tuple) const;
+  /// Fails with OutOfRange when an integer SUM leaves the int64 range.
+  Result<TriBool> Eval(const NestedTuple& tuple) const;
 };
 
 /// \brief Incremental evaluation state for one group — the engine of the
@@ -124,6 +126,10 @@ class LinkingAccumulator {
 
   TriBool Result() const;
 
+  /// OK, or OutOfRange once an integer SUM left the int64 range; Result()
+  /// then means nothing and the caller must fail with this status.
+  Status status() const;
+
   /// True when no further member can change the outcome (short-circuit:
   /// a False for ALL, a True for SOME, a first member for EXISTS forms).
   bool Decided() const;
@@ -138,8 +144,8 @@ class LinkingAccumulator {
   int64_t member_count_ = 0;
   // Aggregate state (kAggregate only).
   int64_t agg_inputs_ = 0;  // non-NULL linked inputs
-  double sum_ = 0;
-  bool sum_is_int_ = true;
+  ExactSum sum_;            // SUM
+  double avg_sum_ = 0;      // AVG
   Value extreme_;
 };
 

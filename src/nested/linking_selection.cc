@@ -35,7 +35,7 @@ Result<Table> LinkingSelect(const NestedRelation& input,
   out.Reserve(static_cast<size_t>(input.num_tuples()));
 
   for (const NestedTuple& t : input.tuples()) {
-    const TriBool r = bound.Eval(t);
+    NESTRA_ASSIGN_OR_RETURN(const TriBool r, bound.Eval(t));
     if (IsTrue(r)) {
       out.AppendUnchecked(t.atoms);
     } else if (mode == SelectionMode::kPseudo) {
@@ -62,7 +62,7 @@ Result<NestedRelation> LinkingSelectNested(
   NestedRelation out(input.shared_schema());
   out.tuples().reserve(static_cast<size_t>(input.num_tuples()));
   for (const NestedTuple& t : input.tuples()) {
-    const TriBool r = bound.Eval(t);
+    NESTRA_ASSIGN_OR_RETURN(const TriBool r, bound.Eval(t));
     if (IsTrue(r)) {
       out.tuples().push_back(t);
     } else if (mode == SelectionMode::kPseudo) {

@@ -204,34 +204,13 @@ Result<Table> NraExecutor::Execute(const QueryBlock& root, NraStats* stats,
                               LinearChain(root));
       return ExecuteBottomUpLinearDag(chain, stats, prof);
     }
-    // The single-sort fused path folds every level into one pass, but it
-    // bypasses the per-child rewrites; when those are requested, route
-    // through the recursive path (which still fuses each level when
-    // options_.fused is set).
-    if (options_.fused && root.IsLinear() && !options_.push_down_nest &&
-        !options_.rewrite_positive) {
-      NESTRA_ASSIGN_OR_RETURN(std::vector<const QueryBlock*> chain,
-                              LinearChain(root));
-      // A non-correlated block in the chain would force the wide join to be
-      // an actual Cartesian product; the recursive path evaluates it as a
-      // virtual one instead.
-      bool all_correlated = true;
-      for (size_t i = 1; i < chain.size(); ++i) {
-        all_correlated = all_correlated && !chain[i]->correlated_preds.empty();
-      }
-      // Proven-2VL bypass: when the chain's leaf link can run as a plain
-      // antijoin, the recursive path takes it; the fused pipeline would push
-      // the same link through 3VL member handling.
-      if (FusedChainBypassesTwoValued(chain, catalog_, options_)) {
-        all_correlated = false;
-      }
-      // Cost-gated rewrites (§4.2.5 / §4.2.4) likewise only fire on the
-      // recursive path; route there when the estimator says one applies.
-      if (FusedChainBypassesForCost(chain, catalog_, options_)) {
-        all_correlated = false;
-      }
-      if (all_correlated) return ExecuteFusedLinearDag(chain, stats, prof);
-    }
+    // The fused path folds every level of a linear chain into one pass; the
+    // shared route predicate sends every other shape (rewrite flags,
+    // uncorrelated blocks, 2VL and cost-gated bypasses) down the recursive
+    // path, which still fuses each level when options_.fused is set.
+    const std::vector<const QueryBlock*> chain =
+        FusedLinearChain(root, catalog_, options_);
+    if (!chain.empty()) return ExecuteFusedLinearDag(chain, stats, prof);
     return ExecutePipelinedRecursive(root, stats, prof);
   }();
 
@@ -490,8 +469,8 @@ Result<Table> NraExecutor::ExecuteFusedLinearDag(
 
   // The base evaluations are this shape's independent pipelines: every
   // block's scan+filter(+join tree) can run at once. The wide-join chain
-  // and the single sort+fused pass stay sequential, each joining as soon
-  // as its base (and the previous join) is ready.
+  // and the fused pass stay sequential, each joining as soon as its base
+  // (and the previous join) is ready.
   int prev = AddBaseTask(&dag, *chain[0], &rel);
   for (int k = 1; k < n; ++k) {
     const int base_task = AddBaseTask(&dag, *chain[k], &bases[k]);
@@ -508,6 +487,8 @@ Result<Table> NraExecutor::ExecuteFusedLinearDag(
                                 s, p);
         });
   }
+  // A plan+catalog function, like the join hints: decided at build time.
+  const bool grouped_by_join = FusedChainGroupedByJoin(chain, catalog_);
   dag.AddTask(
       "fused-finish", {prev}, [&](NraStats* s, QueryProfile* p) -> Status {
         const auto t0 = Clock::now();
@@ -523,20 +504,25 @@ Result<Table> NraExecutor::ExecuteFusedLinearDag(
           spec.mode = k == 0 ? SelectionMode::kStrict : SelectionMode::kPseudo;
           levels.push_back(std::move(spec));
         }
-        auto sort = std::make_unique<SortNode>(
-            std::make_unique<TableSourceNode>(std::move(rel)),
-            SortKeysFor(levels.back().nesting_attrs), num_threads_);
-        // Pre-tag the sort subtree as the nest phase: CollectProfiled only
-        // fills in still-unattributed nodes, so the fused evaluator itself
-        // lands in linking-selection while its sort input counts as nesting
-        // work.
-        sort->SetPhaseRecursive(QueryPhase::kNest);
-        auto fused = std::make_unique<FusedNestSelectNode>(std::move(sort),
+        // The join chain delivers every level's groups contiguously when
+        // FusedChainGroupedByJoin holds; the nest then needs no sort at all.
+        ExecNodePtr input = std::make_unique<TableSourceNode>(std::move(rel));
+        if (!grouped_by_join) {
+          input = std::make_unique<SortNode>(
+              std::move(input), SortKeysFor(levels.back().nesting_attrs),
+              num_threads_);
+          // Pre-tag the sort subtree as the nest phase: CollectProfiled only
+          // fills in still-unattributed nodes, so the fused evaluator itself
+          // lands in linking-selection while its sort input counts as
+          // nesting work.
+          input->SetPhaseRecursive(QueryPhase::kNest);
+        }
+        auto fused = std::make_unique<FusedNestSelectNode>(std::move(input),
                                                            std::move(levels));
         NESTRA_ASSIGN_OR_RETURN(
             Table reduced,
             CollectProfiled(fused.get(), QueryPhase::kLinkingSelection,
-                            "fused nest+select", p));
+                            "fused nest+select", p, &fused->groups_closed()));
         s->nest_select_seconds += Seconds(t0);
         NESTRA_ASSIGN_OR_RETURN(out,
                                 FinishRoot(*chain[0], std::move(reduced), p));
@@ -642,6 +628,8 @@ Status NraExecutor::ApplyNestSelect(const QueryBlock& node,
   spec.pred = PredFor(child, /*group=*/"");
   spec.mode = mode;
   spec.pad_attrs = node.attributes;
+  // The recursive route carries no grouping proof (FusedChainGroupedByJoin
+  // covers the whole-chain pipeline only), so each level keeps its sort.
   auto sort = std::make_unique<SortNode>(
       std::make_unique<TableSourceNode>(std::move(*rel)),
       SortKeysFor(retained), num_threads_);
@@ -653,7 +641,7 @@ Status NraExecutor::ApplyNestSelect(const QueryBlock& node,
   NESTRA_ASSIGN_OR_RETURN(
       *rel, CollectProfiled(fused.get(), QueryPhase::kLinkingSelection,
                             "fused[b" + std::to_string(child.id) + "]",
-                            profile));
+                            profile, &fused->groups_closed()));
   return Status::OK();
 }
 

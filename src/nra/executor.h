@@ -32,8 +32,11 @@ class StageDag;
 ///    whose root key was pseudo-padded filtered out.
 ///
 /// With options.fused (the paper's "optimized" variant) linear queries run
-/// as ONE sort followed by ONE streaming pass evaluating every level; tree
-/// queries fuse each nest with its linking selection level-by-level.
+/// as ONE streaming pass evaluating every level over the wide join result —
+/// with no sort when every outer block is keyed (FusedChainGroupedByJoin,
+/// nra/cost.h: the join chain then delivers each level's groups
+/// contiguously), else after ONE sort; tree queries fuse each nest with its
+/// linking selection level-by-level, each behind its own sort.
 class NraExecutor {
  public:
   explicit NraExecutor(const Catalog& catalog,
@@ -75,7 +78,8 @@ class NraExecutor {
   /// fields are identical at every thread count.
   ///
   /// Linear correlated chain with options_.fused: one wide outer join, then
-  /// one sort and one streaming nest+select pass over every level.
+  /// one streaming nest+select pass over every level, behind a sort only
+  /// when FusedChainGroupedByJoin does not hold.
   Result<Table> ExecuteFusedLinearDag(
       const std::vector<const QueryBlock*>& chain, NraStats* stats,
       QueryProfile* profile);

@@ -6,7 +6,6 @@
 #include "exec/join_hints.h"
 #include "nra/cost.h"
 #include "nra/executor.h"
-#include "nra/planner.h"
 #include "nra/profile.h"
 #include "nra/rewrites.h"
 #include "plan/binder.h"
@@ -137,54 +136,39 @@ std::string ExplainQuery(const QueryBlock& root, const Catalog& catalog,
   } else if (options.bottom_up_linear && root.IsLinearCorrelated()) {
     oss << "bottom-up linear-correlated pipeline (4.2.3): each level "
            "reduces before joining upward; strict selections throughout\n";
-  } else {
-    bool fused_whole_chain = false;
-    if (options.fused && root.IsLinear() && !options.push_down_nest &&
-        !options.rewrite_positive) {
-      const Result<std::vector<const QueryBlock*>> chain = LinearChain(root);
-      if (chain.ok()) {
-        fused_whole_chain = true;
-        for (size_t i = 1; i < chain->size(); ++i) {
-          fused_whole_chain =
-              fused_whole_chain && !(*chain)[i]->correlated_preds.empty();
-        }
-        // The executor's fused-pipeline bypass, via the shared predicate: a
-        // chain whose leaf link runs as a proven two-valued antijoin takes
-        // the recursive route instead of the single-sort pipeline.
-        if (fused_whole_chain &&
-            FusedChainBypassesTwoValued(*chain, catalog, options)) {
-          fused_whole_chain = false;
-        }
-        // Same for a cost-gated §4.2.5/§4.2.4 rewrite on the chain's leaf.
-        if (fused_whole_chain &&
-            FusedChainBypassesForCost(*chain, catalog, options)) {
-          fused_whole_chain = false;
-        }
-      }
-    }
-    if (fused_whole_chain) {
+  } else if (const std::vector<const QueryBlock*> chain =
+                 FusedLinearChain(root, catalog, options);
+             !chain.empty()) {
+    // The executor's route and sort decisions, via the shared predicates.
+    if (FusedChainGroupedByJoin(chain, catalog)) {
+      oss << "sort-free fused pipeline (4.2.1 + 4.2.2): one wide outer "
+             "join, then one streaming pass over all "
+          << (chain.size() - 1)
+          << " linking predicate(s); no sort (FusedChainGroupedByJoin: "
+             "every outer block is keyed, so the join chain delivers each "
+             "level's groups contiguously)\n";
+    } else {
       oss << "single-sort fused pipeline (4.2.1 + 4.2.2): one wide outer "
              "join, one sort, one streaming pass over all "
-          << (root.NumBlocks() - 1) << " linking predicate(s)\n";
-      std::vector<const QueryBlock*> path{&root};
-      const QueryBlock* node = &root;
-      while (!node->children.empty()) {
-        const QueryBlock& child = *node->children[0];
-        // Same build-time hints ExecuteFusedLinearDag passes to JoinWithChild
-        // at this level (path = the chain prefix above the child).
-        oss << "  - level: " << LinkingLabel(child) << " ("
-            << (StrictSafe(path) ? "strict" : "pseudo") << ")"
-            << JoinStrategySuffix(
-                   JoinStrategyFor(child, path, catalog, options))
-            << "\n";
-        path.push_back(&child);
-        node = &child;
-      }
-    } else {
-      oss << "recursive Algorithm 1:\n";
-      std::vector<const QueryBlock*> path{&root};
-      ExplainNode(root, catalog, options, &path, 1, &oss);
+          << (chain.size() - 1)
+          << " linking predicate(s) (FusedChainGroupedByJoin: an outer "
+             "block has a table with no primary key)\n";
     }
+    std::vector<const QueryBlock*> path;
+    for (size_t k = 1; k < chain.size(); ++k) {
+      // Same build-time hints ExecuteFusedLinearDag passes to JoinWithChild
+      // at this level (path = the chain prefix above the child).
+      path.push_back(chain[k - 1]);
+      const QueryBlock& child = *chain[k];
+      oss << "  - level: " << LinkingLabel(child) << " ("
+          << (StrictSafe(path) ? "strict" : "pseudo") << ")"
+          << JoinStrategySuffix(JoinStrategyFor(child, path, catalog, options))
+          << "\n";
+    }
+  } else {
+    oss << "recursive Algorithm 1:\n";
+    std::vector<const QueryBlock*> path{&root};
+    ExplainNode(root, catalog, options, &path, 1, &oss);
   }
   if (!root.order_by.empty() || root.limit >= 0 || root.distinct ||
       root.IsGrouped()) {

@@ -12,7 +12,7 @@ namespace nestra {
 /// \brief Renders the evaluation strategy the nested relational executor
 /// will use for a bound query under `options`, without executing it:
 /// the query-block tree, the paper's tree expression, the chosen pipeline
-/// (single-sort fused / bottom-up linear / recursive) and, per linking
+/// (whole-chain fused / bottom-up linear / recursive) and, per linking
 /// predicate, the selection mode (strict vs pseudo) and any applied rewrite
 /// (virtual Cartesian product, nest push-down, positive semijoin).
 ///

@@ -12,8 +12,10 @@ namespace nestra {
 /// one of the paper's optimization subsections, so ablation benches can
 /// toggle them independently.
 struct NraOptions {
-  /// §4.2.1 + §4.2.2: perform all nesting with one sort and pipeline each
-  /// nest with its linking selection (single streaming pass). Off = the
+  /// §4.2.1 + §4.2.2: pipeline each nest with its linking selection in a
+  /// single streaming pass over rows grouped by every level's nesting
+  /// attributes — grouped by one sort, or by the outer-join chain itself
+  /// when FusedChainGroupedByJoin (nra/cost.h) proves it. Off = the
   /// "original" approach: one materialized nest + one materialized linking
   /// selection per level.
   bool fused = true;
@@ -46,7 +48,7 @@ struct NraOptions {
 
   /// Morsel-driven parallelism degree for the execution engine: hash-join
   /// build/probe, the sorts behind SortNode / sort-based nest / the fused
-  /// evaluator's single sort, base-table scan+filter, the pushed-down
+  /// evaluator's sort, base-table scan+filter, the pushed-down
   /// linking selection, and the query's stage DAG (DESIGN.md §11).
   /// 0 = auto (std::thread::hardware_concurrency); 1 = one morsel per loop
   /// and the stage DAG run inline in creation order. Results are

@@ -432,15 +432,15 @@ Result<Table> EvalBlockBase(const QueryBlock& block, const Catalog& catalog,
     node->EnableTimingRecursive();
   }
   int64_t scanned_bytes = 0;
+  // Stage peak: the join tree's footprint with its drained intermediate,
+  // which is still live while the filter builds its output.
+  int64_t tree_peak = 0;
   NESTRA_ASSIGN_OR_RETURN(
-      Table scanned, CollectTable(node.get(), &scanned_bytes));
+      Table scanned, CollectStage(node.get(), &scanned_bytes, &tree_peak));
   FlushOperatorMetrics(*node);
   ProfiledOperator tree;
   if (timer.active()) tree = ProfiledOperator::Snapshot(*node);
   const ExprPtr pred = MakeAnd(std::move(conjuncts));
-  // Stage peak: operator charges plus the drained intermediate, which is
-  // still live while the filter builds its output.
-  const int64_t tree_peak = TreePeakMemBytes(*node) + scanned_bytes;
   NESTRA_ASSIGN_OR_RETURN(
       Table out,
       ParallelFilterTable(std::move(scanned), pred.get(), num_threads));
@@ -616,10 +616,11 @@ Result<Table> FinalizeRootOutput(const QueryBlock& root, Table rel,
     node->EnableTimingRecursive();
   }
   int64_t out_bytes = 0;
-  NESTRA_ASSIGN_OR_RETURN(Table out, CollectTable(node.get(), &out_bytes));
+  int64_t stage_peak = 0;
+  NESTRA_ASSIGN_OR_RETURN(Table out,
+                          CollectStage(node.get(), &out_bytes, &stage_peak));
   FlushOperatorMetrics(*node);
-  NESTRA_RETURN_NOT_OK(
-      FoldStageMem(&timer, out_bytes, TreePeakMemBytes(*node) + out_bytes));
+  NESTRA_RETURN_NOT_OK(FoldStageMem(&timer, out_bytes, stage_peak));
   if (timer.active()) {
     timer.Finish(out.num_rows(), ProfiledOperator::Snapshot(*node));
   } else {

@@ -34,6 +34,17 @@ std::string FormatSeconds(double seconds) {
   return oss.str();
 }
 
+// "[12402,25443]": per-level group counts, spelled as in
+// FusedNestSelectNode::detail() for both EXPLAIN and the profile JSON.
+std::string GroupList(const std::vector<int64_t>& groups) {
+  std::string out = "[";
+  for (size_t i = 0; i < groups.size(); ++i) {
+    if (i > 0) out += ',';
+    out += std::to_string(groups[i]);
+  }
+  return out + "]";
+}
+
 void RenderOperator(const ProfiledOperator& op, int depth,
                     std::ostringstream* oss) {
   *oss << std::string(static_cast<size_t>(depth) * 2, ' ') << op.name;
@@ -198,6 +209,9 @@ int64_t QueryProfile::PhaseRows(QueryPhase phase) const {
   int64_t rows = 0;
   for (const ProfiledStage& stage : stages_) {
     if (stage.phase == phase) rows += stage.rows_out;
+    if (phase == QueryPhase::kNest) {
+      for (const int64_t groups : stage.nest_groups) rows += groups;
+    }
   }
   return rows;
 }
@@ -267,6 +281,9 @@ std::string QueryProfile::ToString() const {
       }
     }
     oss << " time=" << FormatSeconds(stage.seconds);
+    if (!stage.nest_groups.empty()) {
+      oss << " nest_groups=" << GroupList(stage.nest_groups);
+    }
     if (stage.peak_mem_bytes > 0) {
       oss << " mem=" << stage.mem_bytes << " peak=" << stage.peak_mem_bytes;
     }
@@ -312,6 +329,9 @@ std::string QueryProfile::ToJson() const {
         << ",\"rows_out\":" << stage.rows_out
         << ",\"mem_bytes\":" << stage.mem_bytes
         << ",\"peak_bytes\":" << stage.peak_mem_bytes;
+    if (!stage.nest_groups.empty()) {
+      oss << ",\"nest_groups\":" << GroupList(stage.nest_groups);
+    }
     const auto est = estimates.find(stage.label);
     if (est != estimates.end()) {
       if (est->second.rows >= 0) {
@@ -355,6 +375,9 @@ void StageTimer::FinishImpl(int64_t rows_out, ProfiledOperator* tree) {
     if (phase_ == QueryPhase::kNest) {
       m.nest_groups_peak->UpdateMax(static_cast<double>(rows_out));
     }
+    for (const int64_t groups : nest_groups_) {
+      m.nest_groups_peak->UpdateMax(static_cast<double>(groups));
+    }
   }
   if (trace_) {
     telemetry::RecordCompleteEvent("execute", label_,
@@ -371,6 +394,7 @@ void StageTimer::FinishImpl(int64_t rows_out, ProfiledOperator* tree) {
   stage.mem_bytes = mem_bytes_;
   stage.peak_mem_bytes = peak_mem_bytes_;
   stage.pool = ThreadPoolStats() - pool_before_;
+  stage.nest_groups = std::move(nest_groups_);
   if (tree != nullptr) {
     stage.has_tree = true;
     stage.tree = std::move(*tree);
@@ -422,12 +446,26 @@ void FlushOperatorMetrics(const ExecNode& node) {
   }
 }
 
+namespace {
+
 int64_t TreePeakMemBytes(const ExecNode& node) {
   int64_t total = node.stats().peak_mem_bytes;
   for (const ExecNode* child : node.children()) {
     total += TreePeakMemBytes(*child);
   }
   return total;
+}
+
+}  // namespace
+
+Result<Table> CollectStage(ExecNode* node, int64_t* out_bytes,
+                           int64_t* stage_peak) {
+  *out_bytes = 0;
+  bool handed_over = false;
+  NESTRA_ASSIGN_OR_RETURN(Table out,
+                          CollectTable(node, out_bytes, &handed_over));
+  *stage_peak = TreePeakMemBytes(*node) + (handed_over ? 0 : *out_bytes);
+  return out;
 }
 
 Status FoldStageMem(StageTimer* timer, int64_t mem_bytes,
@@ -441,27 +479,27 @@ Status FoldStageMem(StageTimer* timer, int64_t mem_bytes,
 }
 
 Result<Table> CollectProfiled(ExecNode* node, QueryPhase phase,
-                              const std::string& label,
-                              QueryProfile* profile) {
+                              const std::string& label, QueryProfile* profile,
+                              const std::vector<int64_t>* nest_groups) {
   StageTimer timer(profile, phase, label);
   if (timer.active()) {
     node->SetPhaseRecursive(phase);
     node->EnableTimingRecursive();
   }
   int64_t out_bytes = 0;
-  Result<Table> result = CollectTable(node, &out_bytes);
+  int64_t stage_peak = 0;
+  Result<Table> result = CollectStage(node, &out_bytes, &stage_peak);
   if (!result.ok()) return result;
-  // Always-on memory fold (independent of profiling): the stage footprint
-  // is the operators' accounted peaks plus the materialized result. Folded
-  // with a commutative max, so the query peak is deterministic no matter
-  // how pipeline tasks interleave; the same fold applies the soft limit.
-  const int64_t stage_peak = TreePeakMemBytes(*node) + out_bytes;
+  // Always-on memory fold (independent of profiling), with a commutative
+  // max, so the query peak is deterministic no matter how pipeline tasks
+  // interleave; the same fold applies the soft limit.
   if (QueryMemoryTracker* mem = CurrentQueryMemory()) {
     NESTRA_RETURN_NOT_OK(mem->FoldStage(stage_peak));
   }
   if (!timer.recording()) return result;
   FlushOperatorMetrics(*node);
   timer.set_mem(out_bytes, stage_peak);
+  if (nest_groups != nullptr) timer.set_nest_groups(*nest_groups);
   if (timer.active()) {
     timer.Finish(result->num_rows(), ProfiledOperator::Snapshot(*node));
   } else {

@@ -51,6 +51,9 @@ struct ProfiledStage {
   bool has_tree = false;
   ProfiledOperator tree;
   PoolStatsSnapshot pool;  // pool usage of the loops this stage started
+  // Groups closed per nesting level (outermost first) by a fused
+  // nest+select stage; empty for every other stage.
+  std::vector<int64_t> nest_groups;
 };
 
 /// \brief Per-query profile assembled by NraExecutor when
@@ -69,7 +72,10 @@ class QueryProfile {
   /// tagged with it, plus the stage time of non-tree stages tagged with it.
   double PhaseSeconds(QueryPhase phase) const;
 
-  /// Rows produced by the stages attributed to a paper phase.
+  /// Rows produced by the stages attributed to a paper phase. The nest
+  /// phase also counts the groups a fused nest+select stage closed: that
+  /// stage is attributed to linking selection, but forms the same groups a
+  /// separate nest would.
   int64_t PhaseRows(QueryPhase phase) const;
 
   /// Merges another profile's stages (set-operation branches), prefixing
@@ -109,10 +115,22 @@ class QueryProfile {
 /// and a stage snapshot is appended; when null this is exactly
 /// CollectTable. Independently of the profile, when process telemetry is
 /// on the stage also feeds the global metrics registry and trace sink (see
-/// StageTimer).
+/// StageTimer). `nest_groups`, when non-null, is read after the drain: a
+/// fused nest+select's groups closed per level, reported as the stage's
+/// nest groups.
 Result<Table> CollectProfiled(ExecNode* node, QueryPhase phase,
-                              const std::string& label,
-                              QueryProfile* profile);
+                              const std::string& label, QueryProfile* profile,
+                              const std::vector<int64_t>* nest_groups = nullptr);
+
+/// Drains `node` like CollectTable and reports the stage's memory: the
+/// result's logical bytes (`out_bytes`) and the stage footprint
+/// (`stage_peak`), which is every operator's accounted peak plus the result
+/// — except when the root hands its materialized result over in bulk
+/// (TakeAllRows), whose own charge already holds it. A TableSourceNode whose
+/// rows a consumer took in bulk reports no peak, so those bytes count once,
+/// in the consumer's charge.
+Result<Table> CollectStage(ExecNode* node, int64_t* out_bytes,
+                           int64_t* stage_peak);
 
 /// Rolls a drained operator tree's non-deterministic extras (batches,
 /// adapter batches, join build/probe rows, sort rows) into the global
@@ -154,6 +172,13 @@ class StageTimer {
     peak_mem_bytes_ = peak_mem_bytes;
   }
 
+  /// Records the groups a fused nest+select closed per level. Finish feeds
+  /// the largest level into the nest-groups-peak gauge and attaches the
+  /// list to the ProfiledStage. Call before Finish.
+  void set_nest_groups(std::vector<int64_t> groups) {
+    nest_groups_ = std::move(groups);
+  }
+
   /// Reports a tree-less stage.
   void Finish(int64_t rows_out);
 
@@ -171,13 +196,10 @@ class StageTimer {
   bool trace_ = false;
   int64_t mem_bytes_ = 0;
   int64_t peak_mem_bytes_ = 0;
+  std::vector<int64_t> nest_groups_;
   PoolStatsSnapshot pool_before_;
   std::chrono::steady_clock::time_point start_;
 };
-
-/// Sum of the subtree's per-operator accounted peak footprints
-/// (O(#operators), run once per stage fold).
-int64_t TreePeakMemBytes(const ExecNode& node);
 
 /// Records a stage's byte accounting on `timer` (nullptr ok) and folds the
 /// peak into the ambient query memory tracker, applying the soft limit.

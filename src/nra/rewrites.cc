@@ -91,8 +91,9 @@ Result<Table> HashLinkSelect(Table outer, const Table& inner,
   // concatenated in morsel order reproduce the serial output exactly.
   static const std::vector<Member> kEmpty;
   const int64_t n = static_cast<int64_t>(outer.rows().size());
-  std::vector<std::vector<Row>> slots(
-      static_cast<size_t>(MorselCount(n, num_threads)));
+  const int64_t morsels = MorselCount(n, num_threads);
+  std::vector<std::vector<Row>> slots(static_cast<size_t>(morsels));
+  std::vector<Status> errors(static_cast<size_t>(morsels));
   ParallelForMorsels(n, num_threads, [&](int64_t morsel, int64_t begin,
                                          int64_t end) {
     std::vector<Row>& slot = slots[static_cast<size_t>(morsel)];
@@ -117,6 +118,10 @@ Result<Table> HashLinkSelect(Table outer, const Table& inner,
         acc.Add(m.key, m.linked);
         if (acc.Decided()) break;
       }
+      if (!acc.status().ok()) {
+        errors[static_cast<size_t>(morsel)] = acc.status();
+        return;
+      }
       if (IsTrue(acc.Result())) {
         slot.push_back(std::move(r));
       } else if (mode == SelectionMode::kPseudo) {
@@ -125,6 +130,7 @@ Result<Table> HashLinkSelect(Table outer, const Table& inner,
       }
     }
   });
+  for (const Status& error : errors) NESTRA_RETURN_NOT_OK(error);
   for (std::vector<Row>& slot : slots) {
     for (Row& r : slot) out.AppendUnchecked(std::move(r));
   }

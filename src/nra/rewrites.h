@@ -32,7 +32,7 @@ inline bool TakesTwoValuedAntijoin(const QueryBlock& child,
 
 /// \brief The fused-chain bypass, in the same shared form: a linear chain
 /// whose leaf link takes the two-valued antijoin must route through the
-/// recursive path (the single-sort fused pipeline would push the same link
+/// recursive path (the whole-chain fused pipeline would push the same link
 /// through 3VL member handling). `chain` is the linear chain root-first;
 /// chains shorter than two blocks have no link and never bypass.
 inline bool FusedChainBypassesTwoValued(

@@ -80,7 +80,8 @@ const EngineMetrics& Metrics() {
     }
     m->nest_groups_peak = reg.GetGauge(
         "nestra_nest_groups_peak", "",
-        "Largest group count any nest stage has produced", true);
+        "Largest group count any nest stage or fused level has produced",
+        true);
 
     m->io_hits_total = reg.GetCounter(
         "nestra_io_hits_total", "", "IoSim buffer-pool page hits", true);

@@ -48,7 +48,7 @@ struct EngineMetrics {
   Counter* phase_rows_total[kNumPhases];     // det
   Counter* phase_stages_total[kNumPhases];   // det
   Counter* phase_seconds_total[kNumPhases];  // wall time, non-det
-  Gauge* nest_groups_peak;                   // det (max nest-stage groups)
+  Gauge* nest_groups_peak;                   // det (max groups per nest)
 
   // IoSim page accounting (executor-sampled deltas). Totals are exact under
   // concurrency (relaxed atomics, every access charged once).

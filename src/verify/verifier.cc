@@ -671,44 +671,30 @@ std::vector<PlanStep> PlanVerifier::Outline(const QueryBlock& root) const {
     return steps;
   }
 
-  // §4.2.1 + §4.2.2 single-sort fused pipeline over a whole linear chain.
-  if (options_.fused && root.IsLinear() && !options_.push_down_nest &&
-      !options_.rewrite_positive) {
-    const std::vector<const QueryBlock*> chain = FlattenLinear(root);
-    bool all_correlated = true;
-    for (size_t i = 1; i < chain.size(); ++i) {
-      all_correlated = all_correlated && !chain[i]->correlated_preds.empty();
-    }
-    // Proven-2VL bypass: when the chain's leaf link can run as a plain
-    // antijoin, the recursive route (below) takes it; the fused pipeline
-    // would evaluate the same link through 3VL member handling. Shared
-    // predicate — the executor and EXPLAIN call the same function.
-    if (FusedChainBypassesTwoValued(chain, catalog_, options_)) {
-      all_correlated = false;
-    }
-    // Same routing for a cost-gated §4.2.5/§4.2.4 rewrite on the leaf.
-    if (FusedChainBypassesForCost(chain, catalog_, options_)) {
-      all_correlated = false;
-    }
-    if (all_correlated) {
-      std::vector<std::string> prefix;
-      for (size_t k = 0; k + 1 < chain.size(); ++k) {
-        for (const std::string& a : chain[k]->attributes) {
-          prefix.push_back(a);
-        }
-        PlanStep s;
-        s.parent = chain[k];
-        s.child = chain[k + 1];
-        s.kind = PlanStepKind::kNestSelect;
-        s.streaming = true;
-        s.mode = k == 0 ? SelectionMode::kStrict : SelectionMode::kPseudo;
-        s.nesting_attrs = prefix;
-        s.nested_attrs = NestedAttrsFor(*s.child);
-        s.path.assign(chain.begin(), chain.begin() + k + 1);
-        steps.push_back(std::move(s));
+  // §4.2.1 + §4.2.2 fused pipeline over a whole linear chain. Shared route
+  // and sort predicates — the executor and EXPLAIN call the same functions.
+  const std::vector<const QueryBlock*> chain =
+      FusedLinearChain(root, catalog_, options_);
+  if (!chain.empty()) {
+    const bool grouped_by_join = FusedChainGroupedByJoin(chain, catalog_);
+    std::vector<std::string> prefix;
+    for (size_t k = 0; k + 1 < chain.size(); ++k) {
+      for (const std::string& a : chain[k]->attributes) {
+        prefix.push_back(a);
       }
-      return steps;
+      PlanStep s;
+      s.parent = chain[k];
+      s.child = chain[k + 1];
+      s.kind = PlanStepKind::kNestSelect;
+      s.streaming = true;
+      s.grouped_by_join = grouped_by_join;
+      s.mode = k == 0 ? SelectionMode::kStrict : SelectionMode::kPseudo;
+      s.nesting_attrs = prefix;
+      s.nested_attrs = NestedAttrsFor(*s.child);
+      s.path.assign(chain.begin(), chain.begin() + k + 1);
+      steps.push_back(std::move(s));
     }
+    return steps;
   }
 
   // Recursive Algorithm 1.
@@ -897,6 +883,26 @@ void PlanVerifier::CheckOutline(const std::vector<PlanStep>& steps,
                "linking attribute '" + child.linking_attr +
                    "' does not survive the nest's implicit projection "
                    "(missing from N1)");
+    }
+
+    // --- a sort-free nest rests on every outer block being keyed
+    // (FusedChainGroupedByJoin's proof). Re-checked from the catalog, not
+    // through the shared predicate, so a bug in that predicate cannot also
+    // blind its checker.
+    if (s.grouped_by_join) {
+      for (const QueryBlock* outer : s.path) {
+        for (const QueryBlock::TableRef& ref : outer->tables) {
+          const Result<const TableMetadata*> meta =
+              catalog_.GetMetadata(ref.table);
+          if (meta.ok() && !(*meta)->primary_key.empty()) continue;
+          AddError(report, child.id, verify_rules::kKeySurvival,
+                   "sort-free fused nest for the link of block " +
+                       std::to_string(child.id) + ", but table '" +
+                       ref.table + "' of block " + std::to_string(outer->id) +
+                       " declares no primary key; the join chain need not "
+                       "deliver its groups contiguously");
+        }
+      }
     }
 
     // --- key-survival at the step level.

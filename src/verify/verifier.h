@@ -136,10 +136,14 @@ struct PlanStep {
   const QueryBlock* child = nullptr;
   PlanStepKind kind = PlanStepKind::kNestSelect;
   PlanStepOrder order = PlanStepOrder::kTopDown;
-  /// True for inner levels of the single-sort fused pipeline (§4.2.1): the
+  /// True for the levels of the whole-chain fused pipeline (§4.2.1): the
   /// pseudo-selection's padding is implicit there (a failing group simply
   /// contributes no member), so no pad list is required.
   bool streaming = false;
+  /// Streaming steps only: the pipeline reads the join chain's output with
+  /// no sort, because FusedChainGroupedByJoin (nra/cost.h) proved every
+  /// level's groups contiguous; false = a sort forms the groups.
+  bool grouped_by_join = false;
   SelectionMode mode = SelectionMode::kStrict;
   std::vector<std::string> nesting_attrs;  // N1
   std::vector<std::string> nested_attrs;   // N2

@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "baseline/native_optimizer.h"
 #include "baseline/nested_iteration.h"
 #include "nra/executor.h"
@@ -183,6 +188,89 @@ TEST_F(AggregateSubqueryTest, AllStrategiesAgree) {
     SCOPED_TRACE(q);
     CheckAgainstOracle(q);
   }
+}
+
+// Integer SUM is exact in int64 and fails loudly past its range. Summed in
+// a double, 2^53 + 1 rounds to 2^53 and the query silently answers wrong
+// (with the oracle agreeing, since both share the fold); and converting an
+// out-of-range double back to int64 is undefined behaviour.
+class ExactSumTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    constexpr int64_t k2p53 = int64_t{1} << 53;
+    ASSERT_OK(catalog_.RegisterTable(
+        "o", MakeTable({"ok"}, {{I(1)}, {I(2)}, {I(3)}}), "ok"));
+    // Group 1 sums to 2^53 + 1, group 2 to 5, group 3 past INT64_MAX.
+    ASSERT_OK(catalog_.RegisterTable(
+        "s",
+        MakeTable({"sk", "sg", "sv"}, {{I(1), I(1), I(k2p53)},
+                                       {I(2), I(1), I(1)},
+                                       {I(3), I(2), I(5)},
+                                       {I(4), I(3), I(INT64_MAX)},
+                                       {I(5), I(3), I(1)}}),
+        "sk"));
+  }
+
+  // Every evaluator of a SUM: the nested-iteration oracle, the fused
+  // pipeline, the materialized nest + linking selection, and the §4.2.4
+  // hash link-select.
+  std::vector<std::pair<std::string, Result<Table>>> RunAll(
+      const std::string& sql) {
+    std::vector<std::pair<std::string, Result<Table>>> runs;
+    NestedIterationExecutor oracle(catalog_, {.use_indexes = false});
+    runs.emplace_back("oracle", oracle.ExecuteSql(sql));
+    NraOptions push_down = NraOptions::Optimized();
+    push_down.push_down_nest = true;
+    for (const auto& [name, opts] :
+         {std::pair<std::string, NraOptions>{"optimized",
+                                             NraOptions::Optimized()},
+          {"original", NraOptions::Original()},
+          {"push-down", push_down}}) {
+      NraExecutor exec(catalog_, opts);
+      runs.emplace_back(name, exec.ExecuteSql(sql));
+    }
+    return runs;
+  }
+
+  void ExpectResult(const std::string& sql, const Table& expected) {
+    for (const auto& [name, result] : RunAll(sql)) {
+      ASSERT_TRUE(result.ok()) << name << ": " << result.status().ToString();
+      EXPECT_TRUE(Table::BagEquals(expected, *result))
+          << sql << " [" << name << "]\nexpected:\n"
+          << expected.ToString() << "actual:\n"
+          << result->ToString();
+    }
+  }
+
+  void ExpectOutOfRange(const std::string& sql) {
+    for (const auto& [name, result] : RunAll(sql)) {
+      EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange)
+          << sql << " [" << name << "]: " << result.status().ToString();
+    }
+  }
+
+  Catalog catalog_;
+};
+
+TEST_F(ExactSumTest, PlainSumIsExactPastTwoToThe53) {
+  ExpectResult("select sum(sv) from s where s.sg = 1",
+               MakeTable({"sum(s.sv)"}, {{I(9007199254740993)}}));
+}
+
+TEST_F(ExactSumTest, CorrelatedSumIsExactPastTwoToThe53) {
+  ExpectResult(
+      "select ok from o where ok < 3 and 9007199254740993 = "
+      "(select sum(sv) from s where s.sg = o.ok)",
+      MakeTable({"o.ok"}, {{I(1)}}));
+}
+
+TEST_F(ExactSumTest, PlainSumOverflowIsAnError) {
+  ExpectOutOfRange("select sum(sv) from s where s.sg = 3");
+}
+
+TEST_F(ExactSumTest, CorrelatedSumOverflowIsAnError) {
+  ExpectOutOfRange(
+      "select ok from o where 0 < (select sum(sv) from s where s.sg = o.ok)");
 }
 
 TEST_F(AggregateSubqueryTest, SemiAntiRefusesAggregates) {

@@ -32,7 +32,11 @@ TEST_F(ExplainTest, FlatQuery) {
 
 TEST_F(ExplainTest, QueryQUsesFusedChain) {
   const std::string plan = Explain(testing_util::kQueryQ);
-  EXPECT_NE(plan.find("single-sort fused pipeline"), std::string::npos)
+  // r, s and t are all keyed: the join chain groups the levels, so the
+  // fused pipeline runs with no sort and names the predicate that said so.
+  EXPECT_NE(plan.find("sort-free fused pipeline"), std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("no sort (FusedChainGroupedByJoin"), std::string::npos)
       << plan;
   EXPECT_NE(plan.find("r.b <> ALL {s.e} (strict)"), std::string::npos)
       << plan;
@@ -121,7 +125,7 @@ TEST_F(ExplainTest, TwoValuedAntijoinReported) {
   three_valued.two_valued = false;
   const std::string slow = Explain(sql, three_valued);
   EXPECT_EQ(slow.find("two-valued antijoin"), std::string::npos) << slow;
-  EXPECT_NE(slow.find("single-sort fused pipeline"), std::string::npos)
+  EXPECT_NE(slow.find("sort-free fused pipeline"), std::string::npos)
       << slow;
 }
 
@@ -153,7 +157,7 @@ TEST_F(ExplainTest, ExplainAnalyzeQueryQ) {
       ExplainAnalyzeSql(testing_util::kQueryQ, catalog_,
                         NraOptions::Optimized()));
   // Static plan first, then the profile.
-  EXPECT_NE(text.find("single-sort fused pipeline"), std::string::npos)
+  EXPECT_NE(text.find("sort-free fused pipeline"), std::string::npos)
       << text;
   EXPECT_NE(text.find("=== Execution profile ==="), std::string::npos)
       << text;
@@ -173,8 +177,14 @@ TEST_F(ExplainTest, ExplainAnalyzeQueryQ) {
   EXPECT_NE(text.find("stage fused nest+select  phase=linking-selection"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("FusedNestSelect"), std::string::npos) << text;
-  EXPECT_NE(text.find("phase=nest"), std::string::npos) << text;
+  EXPECT_NE(text.find("FusedNestSelect(levels=2 groups=[2,3])"),
+            std::string::npos)
+      << text;
+  // No sort runs: the fused pass reads the join result directly, and the
+  // groups it closed (2 + 3) are the nest phase's rows.
+  EXPECT_EQ(text.find("Sort"), std::string::npos) << text;
+  EXPECT_NE(text.find("nest_groups=[2,3]"), std::string::npos) << text;
+  EXPECT_NE(text.find("nest=0.000000s/5 rows"), std::string::npos) << text;
   EXPECT_NE(text.find("stage finish  phase=post-processing"),
             std::string::npos)
       << text;

@@ -313,5 +313,57 @@ TEST(FusedTest, RejectsNonPrefixLevels) {
   EXPECT_FALSE(fused.Open().ok());
 }
 
+// The evaluator needs each group contiguous, not sorted: the same rows in
+// a grouped but unsorted order (as a left-outer join chain delivers them)
+// yield the same groups, emitted in arrival order.
+TEST(FusedTest, GroupedUnsortedInputMatchesSortedInput) {
+  const Table grouped = MakeTable({"a", "b", "k"}, {
+                                                       {I(3), I(1), I(7)},
+                                                       {I(3), I(9), I(8)},
+                                                       {I(2), I(1), I(5)},
+                                                       {I(1), N(), N()},
+                                                   });
+  FusedLevelSpec level;
+  level.nesting_attrs = {"a"};
+  level.pred =
+      MakeLinkingPredicate(LinkOp::kAll, CmpOp::kGt, "a", "", "b", "k");
+  level.mode = SelectionMode::kStrict;
+
+  FusedNestSelectNode streamed(std::make_unique<TableSourceNode>(grouped),
+                               {level});
+  ASSERT_OK_AND_ASSIGN(Table out, CollectTable(&streamed));
+  ASSERT_OK_AND_ASSIGN(Table sorted, RunFused(grouped, {level}));
+  // a=3: 3 > ALL {1, 9} fails; a=2: 2 > ALL {1} holds; a=1: ALL over the
+  // empty set holds. Same groups, emitted in arrival order.
+  ExpectTablesEqual(sorted, out);
+  ASSERT_EQ(out.num_rows(), 2);
+  EXPECT_EQ(out.rows()[0][0], I(2));
+  EXPECT_EQ(sorted.rows()[0][0], I(1));
+  EXPECT_EQ(streamed.groups_closed(), std::vector<int64_t>{3});
+}
+
+// A group whose rows are not contiguous would be split in two and each half
+// linked on its own, a silent wrong answer; debug builds stop at the first
+// group key that reopens.
+TEST(FusedDeathTest, NonContiguousGroupTripsTheGroupingCheck) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "NESTRA_DCHECK is compiled out of this build";
+#else
+  const Table scattered = MakeTable({"a", "b", "k"}, {
+                                                         {I(1), I(2), I(1)},
+                                                         {I(2), I(3), I(2)},
+                                                         {I(1), I(4), I(3)},
+                                                     });
+  FusedLevelSpec level;
+  level.nesting_attrs = {"a"};
+  level.pred =
+      MakeLinkingPredicate(LinkOp::kExists, CmpOp::kEq, "", "", "b", "k");
+  level.mode = SelectionMode::kStrict;
+  FusedNestSelectNode fused(std::make_unique<TableSourceNode>(scattered),
+                            {level});
+  EXPECT_DEATH((void)CollectTable(&fused), "NESTRA_CHECK failed");
+#endif
+}
+
 }  // namespace
 }  // namespace nestra

@@ -220,6 +220,83 @@ TEST(PipelinedStatsTest, TwoValuedAntijoinReportsIntermediateRows) {
   }
 }
 
+// ---------- The sort-free fused chain ----------
+
+// The root operator of stage `label` in `profile`.
+const ProfiledOperator* StageTree(const QueryProfile& profile,
+                               const std::string& label) {
+  for (const ProfiledStage& stage : profile.stages()) {
+    if (stage.label == label) return &stage.tree;
+  }
+  return nullptr;
+}
+
+// A keyed three-level chain above kCostMinBuildRows, so the cost model
+// swaps the build side of the first join (b dwarfs a) and keeps the default
+// probe for the second (c is smaller than the join result). Both joins run
+// in several morsels at more than one thread. The fused pass reads their
+// output with no sort, so its row order is the join chain's: it must be the
+// same at every thread count, and bag-equal to the oracle. NULLs in the
+// linked columns keep both links three-valued (no antijoin bypass).
+TEST(PipelinedSortFreeChainTest, SwappedAndDefaultProbesGroupEveryLevel) {
+  constexpr int64_t kOuter = 300;
+  constexpr int64_t kMiddle = 6000;
+  constexpr int64_t kLeaf = 3000;
+  auto maybe_null = [](int64_t i, int64_t v) {
+    return i % 17 == 0 ? testing_util::N() : testing_util::I(v);
+  };
+  std::vector<std::vector<Value>> a, b, c;
+  for (int64_t i = 0; i < kOuter; ++i) {
+    a.push_back({testing_util::I(i), maybe_null(i, i % 40)});
+  }
+  for (int64_t i = 0; i < kMiddle; ++i) {
+    b.push_back({testing_util::I(i), testing_util::I((i * 7) % kOuter),
+                 maybe_null(i, i % 50), testing_util::I(i % 23)});
+  }
+  for (int64_t i = 0; i < kLeaf; ++i) {
+    c.push_back({testing_util::I(i), testing_util::I((i * 13) % kMiddle),
+                 maybe_null(i, i % 29)});
+  }
+  Catalog catalog;
+  ASSERT_OK(catalog.RegisterTable(
+      "a", testing_util::MakeTable({"ak", "av"}, a), "ak"));
+  ASSERT_OK(catalog.RegisterTable(
+      "b", testing_util::MakeTable({"bk", "ba", "bv", "bw"}, b), "bk"));
+  ASSERT_OK(catalog.RegisterTable(
+      "c", testing_util::MakeTable({"ck", "cb", "cv"}, c), "ck"));
+  const std::string sql =
+      "select a.ak, a.av from a where a.av not in (select b.bv from b "
+      "where b.ba = a.ak and b.bw > all (select c.cv from c "
+      "where c.cb = b.bk))";
+
+  for (const int threads : kThreadDegrees) {
+    NraOptions opts = NraOptions::Optimized();
+    opts.profile = true;
+    opts.num_threads = threads;
+    NraExecutor exec(catalog, opts);
+    QueryProfile profile;
+    ASSERT_OK_AND_ASSIGN(Table out, exec.ExecuteSql(sql, nullptr, &profile));
+    const std::string context =
+        "threads=" + std::to_string(threads) + "\n" + profile.ToString();
+    // Both outcomes of the outer link occur.
+    EXPECT_GT(out.num_rows(), 0) << context;
+    EXPECT_LT(out.num_rows(), kOuter) << context;
+    const ProfiledOperator* swapped = StageTree(profile, "join[b2]");
+    const ProfiledOperator* probed = StageTree(profile, "join[b3]");
+    ASSERT_NE(swapped, nullptr) << context;
+    ASSERT_NE(probed, nullptr) << context;
+    EXPECT_NE(swapped->detail.find("build=left"), std::string::npos)
+        << context;
+    EXPECT_EQ(probed->detail.find("build=left"), std::string::npos)
+        << context;
+    const ProfiledOperator* fused = StageTree(profile, "fused nest+select");
+    ASSERT_NE(fused, nullptr) << context;
+    ASSERT_EQ(fused->children.size(), 1u) << context;
+    EXPECT_EQ(fused->children[0].name, "TableSource") << context;
+  }
+  CheckThreadsAgreeWithOracle(catalog, sql);
+}
+
 // ---------- Fuzzed query corpus ----------
 
 class PipelinedFuzzTest : public ::testing::TestWithParam<uint64_t> {};

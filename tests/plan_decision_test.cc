@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "baseline/nested_iteration.h"
 #include "nra/executor.h"
 #include "nra/explain.h"
 #include "nra/profile.h"
@@ -214,6 +215,164 @@ TEST_F(PlanDecisionTest, DisablingTwoValuedDisablesAllThreeLayers) {
   QueryProfile profile;
   ASSERT_OK(exec.ExecuteSql(kProvenNotIn, nullptr, &profile).status());
   EXPECT_TRUE(RanNestSelect(profile, root->children[0]->id));
+}
+
+// ---------- The fused pipeline's sort (FusedChainGroupedByJoin) ----------
+
+// True when a Sort runs anywhere in `op`'s subtree.
+bool HasSort(const ProfiledOperator& op) {
+  if (op.name == "Sort") return true;
+  for (const ProfiledOperator& child : op.children) {
+    if (HasSort(child)) return true;
+  }
+  return false;
+}
+
+struct SortPin {
+  const char* name;
+  const char* sql;
+  NraOptions options;
+  bool fused_chain;  // runs as the whole-chain fused pipeline
+  bool sorted;       // that pipeline keeps its sort
+};
+
+class FusedSortDecisionTest : public PlanDecisionTest {
+ protected:
+  void SetUp() override {
+    PlanDecisionTest::SetUp();
+    // A table with no declared primary key: legal as a block's second
+    // table (the binder keys a block by its first).
+    ASSERT_OK(catalog_.RegisterTable(
+        "u",
+        testing_util::MakeTable({"ua", "ub"}, {{testing_util::I(1),
+                                                testing_util::I(2)},
+                                               {testing_util::I(2),
+                                                testing_util::I(3)},
+                                               {testing_util::I(3),
+                                                testing_util::N()}}),
+        ""));
+  }
+
+  // EXPLAIN, the verifier outline and the executed profile must agree on
+  // the pin, and the result must match the nested-iteration oracle.
+  void CheckPin(const SortPin& pin) {
+    SCOPED_TRACE(std::string(pin.name) + "\n" + pin.sql);
+    ASSERT_OK_AND_ASSIGN(QueryBlockPtr root, ParseAndBind(pin.sql, catalog_));
+
+    const std::string explain = ExplainQuery(*root, catalog_, pin.options);
+    EXPECT_EQ(explain.find("sort-free fused pipeline") != std::string::npos,
+              pin.fused_chain && !pin.sorted)
+        << explain;
+    EXPECT_EQ(explain.find("single-sort fused pipeline") != std::string::npos,
+              pin.fused_chain && pin.sorted)
+        << explain;
+
+    bool streaming = false;
+    for (const PlanStep& s :
+         PlanVerifier(catalog_, pin.options).Outline(*root)) {
+      if (!s.streaming) {
+        EXPECT_FALSE(s.grouped_by_join);
+        continue;
+      }
+      streaming = true;
+      EXPECT_EQ(s.grouped_by_join, !pin.sorted);
+    }
+    EXPECT_EQ(streaming, pin.fused_chain);
+
+    NraOptions opts = pin.options;
+    opts.profile = true;
+    NraExecutor exec(catalog_, opts);
+    QueryProfile profile;
+    ASSERT_OK_AND_ASSIGN(Table actual,
+                         exec.ExecuteSql(pin.sql, nullptr, &profile));
+    bool chain_stage = false;
+    for (const ProfiledStage& stage : profile.stages()) {
+      if (stage.label == "fused nest+select") {
+        chain_stage = true;
+        EXPECT_EQ(HasSort(stage.tree), pin.sorted) << profile.ToString();
+      } else if (stage.label.rfind("fused[b", 0) == 0) {
+        // A per-level fused nest on the recursive route always sorts.
+        EXPECT_TRUE(HasSort(stage.tree)) << profile.ToString();
+      }
+    }
+    EXPECT_EQ(chain_stage, pin.fused_chain) << profile.ToString();
+
+    NestedIterationExecutor oracle(catalog_, {.use_indexes = false});
+    ASSERT_OK_AND_ASSIGN(Table expected, oracle.ExecuteSql(pin.sql));
+    testing_util::ExpectTablesEqual(expected, actual);
+  }
+};
+
+TEST_F(FusedSortDecisionTest, SortDroppedExactlyWhereTheChainGroupsTheLevels) {
+  const NraOptions optimized = NraOptions::Optimized();
+  NraOptions original = NraOptions::Original();
+  NraOptions push_down = optimized;
+  push_down.push_down_nest = true;
+  NraOptions semijoin = optimized;
+  semijoin.rewrite_positive = true;
+  NraOptions bottom_up = optimized;
+  bottom_up.bottom_up_linear = true;
+  NraOptions three_valued = optimized;
+  three_valued.two_valued = false;
+
+  // r.b and t.j are nullable, so these links stay three-valued and fused.
+  constexpr const char* kTree =
+      "select r.a from r where r.b not in (select s.e from s where "
+      "s.g = r.d) and r.c > all (select t.j from t where t.k = r.c)";
+  constexpr const char* kLinearCorrelated =
+      "select r.a from r where r.b in (select s.e from s where s.g = r.d "
+      "and s.h > all (select t.j from t where t.l = s.i))";
+  constexpr const char* kUncorrelatedMiddle =
+      "select r.a from r where r.b not in (select s.e from s where "
+      "s.h > all (select t.j from t where t.k = s.g))";
+  constexpr const char* kUnkeyedOuterTable =
+      "select r.a from r, u where r.a = u.ua and r.b not in "
+      "(select s.e from s where s.g = r.d)";
+  constexpr const char* kUnkeyedLeafTable =
+      "select r.a from r where r.b not in "
+      "(select s.e from s, u where s.g = r.d and u.ua = s.i)";
+  // A pure theta correlation joins by nested loops, also left-major.
+  constexpr const char* kThetaChain =
+      "select r.a from r where r.b not in (select s.e from s where "
+      "s.g < r.d)";
+
+  const std::vector<SortPin> pins = {
+      {"keyed chain", kQueryQ, optimized, true, false},
+      {"keyed chain, 3VL", kProvenNotIn, three_valued, true, false},
+      {"nested-loop chain", kThetaChain, optimized, true, false},
+      {"unkeyed leaf table", kUnkeyedLeafTable, optimized, true, false},
+      {"unkeyed outer table", kUnkeyedOuterTable, optimized, true, true},
+      {"Original()", kQueryQ, original, false, false},
+      {"push_down_nest", kQueryQ, push_down, false, false},
+      {"rewrite_positive", kLinearCorrelated, semijoin, false, false},
+      {"bottom_up_linear", kLinearCorrelated, bottom_up, false, false},
+      {"tree query", kTree, optimized, false, false},
+      {"uncorrelated block", kUncorrelatedMiddle, optimized, false, false},
+  };
+  for (const SortPin& pin : pins) CheckPin(pin);
+}
+
+// The decision reads plan shape and declared keys only: every thread count
+// plans, explains and orders the result the same way.
+TEST_F(FusedSortDecisionTest, DecisionAndRowOrderIgnoreTheThreadCount) {
+  std::string plan_at_one;
+  Table rows_at_one;
+  for (const int threads : {1, 2, 8}) {
+    NraOptions opts = NraOptions::Optimized();
+    opts.num_threads = threads;
+    ASSERT_OK_AND_ASSIGN(QueryBlockPtr root, ParseAndBind(kQueryQ, catalog_));
+    std::string plan = ExplainQuery(*root, catalog_, opts);
+    plan = plan.substr(plan.find("fused pipeline"));
+    NraExecutor exec(catalog_, opts);
+    ASSERT_OK_AND_ASSIGN(Table rows, exec.ExecuteSql(kQueryQ));
+    if (threads == 1) {
+      plan_at_one = plan;
+      rows_at_one = rows;
+      continue;
+    }
+    EXPECT_EQ(plan, plan_at_one) << "threads=" << threads;
+    EXPECT_TRUE(rows.rows() == rows_at_one.rows()) << "threads=" << threads;
+  }
 }
 
 }  // namespace

@@ -264,6 +264,31 @@ TEST(TelemetryEngineTest, DeterministicCountersAcrossThreads) {
   }
 }
 
+// The fused plan forms its groups in the streaming pass (no sort runs
+// beneath it for Query Q), yet EXPLAIN, the profile JSON and the gauge all
+// report them: [2,3] per level, 5 nest rows, a peak of 3.
+TEST(TelemetryEngineTest, FusedGroupsReachEveryNestSurface) {
+  TelemetryOffGuard guard;
+  Catalog catalog;
+  testing_util::RegisterPaperRelations(&catalog);
+  telemetry::SetMetricsEnabled(true);
+  MetricsRegistry::Global().ResetValues();
+  NraOptions options = NraOptions::Optimized();
+  options.profile = true;
+  NraExecutor exec(catalog, options);
+  QueryProfile profile;
+  ASSERT_OK(exec.ExecuteSql(testing_util::kQueryQ, nullptr, &profile).status());
+
+  EXPECT_EQ(profile.PhaseRows(QueryPhase::kNest), 5);
+  EXPECT_NE(profile.ToString().find("nest_groups=[2,3]"), std::string::npos)
+      << profile.ToString();
+  EXPECT_NE(profile.ToJson().find("\"nest_groups\":[2,3]"), std::string::npos)
+      << profile.ToJson();
+  EXPECT_EQ(MetricsRegistry::Global().DeterministicValues().at(
+                "nestra_nest_groups_peak"),
+            3);
+}
+
 TEST(TelemetryEngineTest, VerifyFailureCountsAsErrorAndFailure) {
   TelemetryOffGuard guard;
   Catalog catalog;

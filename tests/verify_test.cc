@@ -150,6 +150,34 @@ TEST_F(VerifyTest, CorruptedStrictUnderNegativeLink) {
   EXPECT_TRUE(report.HasRule(verify_rules::kLinkMode)) << report.ToString();
 }
 
+TEST_F(VerifyTest, SortFreeNestRequiresKeyedOuterBlocks) {
+  // Every table is keyed, so the fused chain drops its sort; once the root
+  // block gains a table with no declared key, the same outline's sort-free
+  // steps no longer hold (the join chain need not group the levels).
+  ASSERT_OK(catalog_.RegisterTable(
+      "u", testing_util::MakeTable({"ua"}, {{testing_util::I(1)}}),
+      /*primary_key=*/""));
+  const QueryBlockPtr root = Bind(kQueryQ);
+  ASSERT_NE(root, nullptr);
+
+  const PlanVerifier verifier(catalog_, NraOptions::Optimized());
+  const std::vector<PlanStep> steps = verifier.Outline(*root);
+  ASSERT_EQ(steps.size(), 2u);
+  for (const PlanStep& s : steps) EXPECT_TRUE(s.grouped_by_join);
+  {
+    VerifyReport before;
+    verifier.CheckOutline(steps, &before);
+    EXPECT_TRUE(before.clean()) << before.ToString();
+  }
+
+  root->tables.push_back({"u", "u"});
+
+  VerifyReport report;
+  verifier.CheckOutline(steps, &report);
+  EXPECT_FALSE(report.ok()) << report.ToString();
+  EXPECT_TRUE(report.HasRule(verify_rules::kKeySurvival)) << report.ToString();
+}
+
 TEST_F(VerifyTest, CorruptedDroppedKeyAttribute) {
   const QueryBlockPtr root =
       Bind("select r.a from r where r.b in (select s.e from s where s.g = r.d)");

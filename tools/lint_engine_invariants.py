@@ -49,7 +49,13 @@ compiler cannot enforce:
    actually do so — the same one-predicate-many-mirrors rule as check 4,
    extended to the cost model: a direct estimator call in an engine file
    is a hand-mirrored copy of a plan decision that will drift. (src/ only;
-   tests may call the gates directly to pin their behavior.)
+   tests may call the gates directly to pin their behavior.) The fused
+   pipeline's route (`FusedLinearChain`) and sort (`FusedChainGroupedByJoin`)
+   decisions follow the same rule: every consumer calls both, the key test
+   behind the sort decision (`BlockTablesKeyed`) is called from cost.h only,
+   and the executor and EXPLAIN never read a table's declared primary key
+   themselves, so nothing but the shared predicate decides whether the
+   fused nest drops its sort.
 
 7. One algorithm per operator at every thread count: no
    `num_threads(_) > 1` / `<= 1` / `== 1` branch in src/exec, src/nested
@@ -215,7 +221,7 @@ def check_catalog_mutation_layer():
 # shared predicates that wrap it for the engine.
 COST_GATE_PATTERN = re.compile(
     r"\b(?:CostGatesSemijoinRewrite|CostGatesNestPushDown"
-    r"|ChoosesJoinStrategy|ChoosesScanJoinStrategy)\s*\("
+    r"|ChoosesJoinStrategy|ChoosesScanJoinStrategy|BlockTablesKeyed)\s*\("
 )
 COST_GATE_ALLOWED_PREFIXES = (
     "src/plan/stats/",  # declarations + definitions
@@ -236,7 +242,18 @@ COST_PREDICATE_CONSUMERS = {
     # The verifier checks rewrite shape, not join physics, so it has no
     # JoinStrategyFor mirror to keep in sync.
     "JoinStrategyFor": ("src/nra/executor.cc", "src/nra/explain.cc"),
+    "FusedLinearChain": (
+        "src/nra/executor.cc", "src/nra/explain.cc", "src/verify/verifier.cc",
+    ),
+    "FusedChainGroupedByJoin": (
+        "src/nra/executor.cc", "src/nra/explain.cc", "src/verify/verifier.cc",
+    ),
 }
+
+# Engine surfaces that must not derive the sort decision from declared keys
+# on their own (the verifier's CheckOutline re-checks keys by design).
+PRIMARY_KEY_PATTERN = re.compile(r"\bprimary_key\b")
+SORT_DECISION_CONSUMERS = ("src/nra/executor.cc", "src/nra/explain.cc")
 
 
 def check_cost_decision_consolidation():
@@ -251,11 +268,22 @@ def check_cost_decision_consolidation():
             code = line.split("//", 1)[0]
             if COST_GATE_PATTERN.search(code):
                 violations.append(
-                    f"{rel}:{lineno}: direct estimator gate call site; use "
-                    f"the shared predicates in src/nra/cost.h "
+                    f"{rel}:{lineno}: direct call to a gate that "
+                    f"src/nra/cost.h wraps; use the shared predicates there "
                     f"(TakesSemijoinRewrite / TakesNestPushDown / "
-                    f"JoinStrategyFor) instead of re-deriving the cost "
-                    f"decision: {line.strip()}"
+                    f"JoinStrategyFor / FusedChainGroupedByJoin) instead of "
+                    f"re-deriving the cost decision: {line.strip()}"
+                )
+    for rel in SORT_DECISION_CONSUMERS:
+        for lineno, line in enumerate((REPO / rel).read_text().splitlines(),
+                                      start=1):
+            code = line.split("//", 1)[0]
+            if PRIMARY_KEY_PATTERN.search(code):
+                violations.append(
+                    f"{rel}:{lineno}: reads a declared primary key; whether "
+                    f"the fused nest keeps its sort is decided by "
+                    f"FusedChainGroupedByJoin in src/nra/cost.h only: "
+                    f"{line.strip()}"
                 )
     for predicate, consumers in COST_PREDICATE_CONSUMERS.items():
         pattern = re.compile(rf"\b{predicate}\s*\(")
